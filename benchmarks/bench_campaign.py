@@ -6,13 +6,13 @@ benchmarks/bench_campaign.py`` and it writes
 
 * cold vs warm-disk dataset build time for the small config — the
   speedup a second process gets from ``.repro-cache``;
-* serial (``jobs=1``, spawn pool) vs warm work-queue pool (``jobs=2``,
-  ``pool="warm"``) wall time for a 4-seed campaign over fig02+fig09,
-  with per-seed content hashes so the run doubles as a determinism
-  check, plus each run's merged-timeline **phase breakdown** (spawn /
-  import / claim / wait / dataset-load / compute / merge seconds and
-  lane coverage) — the cross-process telemetry makes the campaign
-  explain its own wall-clock;
+* serial (``jobs=1``: the work queue run in-process) vs warm
+  work-queue pool (``jobs=2``) wall time for a 4-seed campaign over
+  fig02+fig09, with per-seed content hashes so the run doubles as a
+  determinism check, plus each run's merged-timeline **phase
+  breakdown** (spawn / import / claim / wait / dataset-load / compute /
+  merge seconds and lane coverage) — the cross-process telemetry makes
+  the campaign explain its own wall-clock;
 * a resumed re-run of the warm campaign (``resume=True`` against the
   same queue) — every seed loads from the published results, so this
   is the floor for "picking up where an interrupted campaign stopped".
@@ -72,20 +72,19 @@ def bench_dataset_cache(workdir: pathlib.Path) -> dict:
     }
 
 
-def _run(label: str, workdir: pathlib.Path, *, jobs: int, pool: str,
+def _run(label: str, workdir: pathlib.Path, *, jobs: int,
          resume: bool = False, cache_dir: pathlib.Path | None = None):
     clear_dataset_cache()
     cache_dir = cache_dir or workdir / f"campaign-cache-{label}"
     start = time.perf_counter()
     result = run_campaign(
         small_config(), seeds=SEEDS, experiments=EXPERIMENTS,
-        jobs=jobs, pool=pool, resume=resume, cache_dir=cache_dir,
+        jobs=jobs, resume=resume, cache_dir=cache_dir,
     )
     wall = time.perf_counter() - start
     timeline = result.timeline
     summary = {
         "jobs": jobs,
-        "pool": pool,
         "wall_seconds": round(wall, 3),
         "per_seed_build_seconds": [
             round(run.build_seconds, 3) for run in result.seed_runs
@@ -95,12 +94,11 @@ def _run(label: str, workdir: pathlib.Path, *, jobs: int, pool: str,
             for name, seconds in timeline.get("phase_totals", {}).items()
         },
         "timeline_coverage": round(timeline.get("coverage", 0.0), 4),
+        "lease_takeovers": result.scheduler["takeovers"],
+        "worker_respawns": result.scheduler["respawns"],
     }
     if resume:
-        summary["resumed_seeds"] = len(result.scheduler.get("resumed_seeds", []))
-    if pool == "warm":
-        summary["lease_takeovers"] = result.scheduler.get("takeovers", 0)
-        summary["worker_respawns"] = result.scheduler.get("respawns", 0)
+        summary["resumed_seeds"] = len(result.scheduler["resumed_seeds"])
     return result, summary, cache_dir
 
 
@@ -110,13 +108,12 @@ def bench_campaign(workdir: pathlib.Path) -> dict:
     cores = os.cpu_count() or 1
     out: dict = {"seeds": SEEDS, "experiments": EXPERIMENTS}
 
-    serial, out["serial"], _ = _run("serial", workdir, jobs=1, pool="spawn")
+    serial, out["serial"], _ = _run("serial", workdir, jobs=1)
     warm, out["warm_pool"], warm_cache = _run(
-        "warm", workdir, jobs=JOBS_PARALLEL, pool="warm"
+        "warm", workdir, jobs=JOBS_PARALLEL
     )
     _, out["warm_resume"], _ = _run(
-        "warm", workdir, jobs=JOBS_PARALLEL, pool="warm",
-        resume=True, cache_dir=warm_cache,
+        "warm", workdir, jobs=JOBS_PARALLEL, resume=True, cache_dir=warm_cache,
     )
 
     serial_load = out["serial"]["phase_seconds"].get("dataset-load", 0.0)
@@ -152,7 +149,7 @@ def main() -> None:
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="bench-campaign-"))
     try:
         payload = {
-            "schema_version": 3,
+            "schema_version": 4,
             "host": {"cpu_count": os.cpu_count()},
             "dataset_cache": bench_dataset_cache(workdir),
             "campaign": bench_campaign(workdir),

@@ -216,17 +216,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="per-seed progress heartbeats on stderr "
                                    "every SECONDS of simulated time "
                                    "(default: off)")
-    campaign_run.add_argument("--pool", choices=("warm", "spawn"),
-                              default="warm",
-                              help="execution substrate: 'warm' (default) is "
-                                   "the resumable work-queue scheduler with "
-                                   "persistent workers; 'spawn' the one-shot "
-                                   "per-seed process pool")
     campaign_run.add_argument("--resume", action="store_true",
                               help="honour results published by a previous "
                                    "(possibly interrupted) run of this exact "
-                                   "campaign; only missing seeds are computed "
-                                   "(warm pool only)")
+                                   "campaign; only missing seeds are computed")
     campaign_run.add_argument("--lease-ttl", type=float, default=None,
                               metavar="SECONDS",
                               help="work-unit lease time-to-live; a worker "
@@ -673,24 +666,24 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
               f"{completed}/{total}{eta}",
               file=sys.stderr, flush=True)
 
-    if args.resume and args.pool != "warm":
-        print("--resume requires --pool warm", file=sys.stderr)
-        return 2
     tele = Telemetry()
-    result = run_campaign(
-        config,
-        seeds=args.seeds,
-        experiments=names,
-        jobs=args.jobs,
-        telemetry=tele,
-        cache_dir=args.cache_dir,
-        disk_cache=False if args.no_disk_cache else True,
-        progress=report_progress,
-        heartbeat_interval=args.heartbeat,
-        pool=args.pool,
-        resume=args.resume,
-        lease_ttl=args.lease_ttl,
-    )
+    try:
+        result = run_campaign(
+            config,
+            seeds=args.seeds,
+            experiments=names,
+            jobs=args.jobs,
+            telemetry=tele,
+            cache_dir=args.cache_dir,
+            disk_cache=False if args.no_disk_cache else True,
+            progress=report_progress,
+            heartbeat_interval=args.heartbeat,
+            resume=args.resume,
+            lease_ttl=args.lease_ttl,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     manifest = campaign_manifest(result, tele)
     manifest.write(args.manifest_out)
     timeline_out = args.timeline_out

@@ -1,8 +1,9 @@
 """Resumable work-queue campaign scheduler over the content-addressed cache.
 
-The spawn-pool campaign runner assigns each seed to a worker up front;
-a crashed worker loses its seed and a re-run repeats everything.  This
-module replaces assignment with a **work queue coordinated entirely
+This module is the campaign executor: :func:`run_queue` runs every
+campaign, serial or parallel.  Seeds are not assigned to workers up
+front (where a crashed worker would lose its seed and a re-run would
+repeat everything); they form a **work queue coordinated entirely
 through the disk cache directory**: every unit of work is a
 config-fingerprint key (the same sha256 the dataset cache is addressed
 by), and a campaign's queue lives in ``<cache-root>/queue-<id>/`` as
@@ -24,11 +25,12 @@ three kinds of small files —
 Because the queue *is* the state, a crashed, killed or late-added
 worker is a no-op and ``repro campaign run`` is resumable by
 construction — re-invoking with ``resume=True`` loads every published
-result and only the missing keys are computed.  Workers are a
-**persistent warm pool**: each spawned process imports numpy/repro
-once, then loops claim → load-or-compute → run experiments → publish
+result and only the missing keys are computed.  With ``jobs=1`` the
+claim → load-or-compute → run experiments → publish loop runs in the
+calling process; above that, workers are a **persistent warm pool**:
+each spawned process imports numpy/repro once, then runs the same loop
 until every key in the queue has a result.  The timeline gains three
-phases for the new machinery: ``claim`` (lease acquisition),
+phases for the queue machinery: ``claim`` (lease acquisition),
 ``lease-wait`` (idle while every remaining unit is leased elsewhere)
 and ``shm-attach`` (array hand-off from shared memory).
 """
@@ -43,6 +45,7 @@ import queue as queue_module
 import secrets
 import signal
 import socket
+import sys
 import threading
 import time
 from typing import Callable, Sequence
@@ -440,6 +443,21 @@ def _maybe_self_kill(stage: str, seed: int, queue_dir: pathlib.Path,
 # ------------------------------------------------------------- worker bodies
 
 
+def _seed_heartbeat(seed: int) -> Callable[[dict], None]:
+    """A per-seed progress printer for long campaigns (stderr)."""
+
+    def beat(snapshot: dict) -> None:
+        print(
+            "[campaign seed {seed}] t={now:.1f}s/{duration:.1f}s "
+            "({percent:.0f}%) events={events_processed} "
+            "active_flows={active_flows}".format(seed=seed, **snapshot),
+            file=sys.stderr,
+            flush=True,
+        )
+
+    return beat
+
+
 def _read_shm_manifest(queue_dir: pathlib.Path, key: str) -> dict | None:
     try:
         return json.loads(
@@ -526,13 +544,11 @@ def _process_unit(seed: int, key: str, params: dict, build_gate, *,
                   claim_started: float, takeover: bool) -> dict:
     """Run one claimed unit end to end; returns the full result record.
 
-    The caller holds the lease.  Mirrors the spawn pool's per-seed
-    worker body (dataset → experiments → summaries → worker report) and
-    adds the queue phases: ``lease-wait`` for time idle before this
-    claim, ``claim`` for the acquisition itself.
+    The caller holds the lease.  The unit's body is dataset →
+    experiments → summaries → worker report, plus the queue phases:
+    ``lease-wait`` for time idle before this claim, ``claim`` for the
+    acquisition itself.
     """
-    from .campaign import _seed_heartbeat
-
     queue_dir = pathlib.Path(params["queue_dir"])
     config = params["base_config"].with_seed(seed)
     heartbeat_interval = params["heartbeat_interval"]
@@ -657,9 +673,17 @@ def _pool_worker(params: dict, result_queue, build_gate) -> None:
 
     Importing this module in the child pulls in :mod:`repro.experiments`
     — numpy, the simulator and every registered experiment load once,
-    then the worker loops on the queue shipping each record home.
+    then the worker loops on the queue shipping each record home.  Once
+    the records are flushed the process exits at once: the parent joins
+    every worker before it merges the timeline, so interpreter teardown
+    (~0.2 s of module finalisation) would show up as uncovered campaign
+    wall-clock.  Nothing else needs finalising — leases are released
+    and shared-memory blocks belong to the parent.
     """
     _worker_loop(params, result_queue.put, build_gate)
+    result_queue.close()
+    result_queue.join_thread()
+    os._exit(0)
 
 
 # ----------------------------------------------------------------- the queue
@@ -679,9 +703,8 @@ def run_queue(
     heartbeat_interval: float | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     resume: bool = False,
-    use_shm: bool | None = None,
 ) -> dict:
-    """Drive a campaign's work queue to completion; the warm-pool parent.
+    """Drive a campaign's work queue to completion.
 
     Builds the unit list (one config-fingerprint key per seed), resumes
     any published results when ``resume`` (otherwise resets the queue),
@@ -690,8 +713,10 @@ def run_queue(
     records drain through a multiprocessing queue.  Dead workers are
     respawned while unpublished units remain; results published by a
     worker that died before shipping its record are recovered from the
-    queue directory.  Shared-memory segments reported by workers (and
-    any left by crashed ones) are unlinked before returning.
+    queue directory.  Multi-worker runs with a disk cache hand datasets
+    over through shared memory where the platform has it; segments
+    reported by workers (and any left by crashed ones) are unlinked
+    before returning.
 
     Returns ``{"records", "queue_id", "queue_dir", "takeovers",
     "resumed_seeds", "respawns", "use_shm"}`` where ``records`` maps
@@ -719,8 +744,7 @@ def run_queue(
     ]
     if not resume:
         reset_queue(queue_dir)
-    if use_shm is None:
-        use_shm = bool(shm.HAVE_SHM and disk_on and jobs > 1)
+    use_shm = bool(shm.HAVE_SHM and disk_on and jobs > 1)
 
     records: dict[int, dict] = {}
     resumed_seeds: list[int] = []
@@ -767,8 +791,7 @@ def run_queue(
     }
 
     if pending and jobs <= 1:
-        params = dict(base_params, worker_index=0, submitted_at=time.time(),
-                      use_shm=False)
+        params = dict(base_params, worker_index=0, submitted_at=time.time())
         _worker_loop(params, absorb, build_gate=None)
     elif pending:
         from multiprocessing import get_context

@@ -14,14 +14,13 @@ simulator only imports them on demand: the cc package is needed only by
 queued campaigns.
 """
 
-from .engine import EventEngine, EventHandle
+from .engine import EventEngine
 from .impls import register_transport_impl, transport_family, transport_impl_names
 from .linkloads import LinkLoadTracker
 from .transport import FluidTransport, Transfer, TransferMeta
 
 __all__ = [
     "EventEngine",
-    "EventHandle",
     "LinkLoadTracker",
     "FluidTransport",
     "Transfer",

@@ -1,69 +1,36 @@
 """Discrete event engine.
 
-A minimal binary-heap scheduler with cancellable events, batch hooks,
-and *dynamic time sources*.  The simulator registers a hook that runs
-after every batch of same-time events, which is where transport rates
-get recomputed — recomputing once per *timestamp* instead of once per
-*event* matters because barrier phases release dozens of shuffle flows
-at the same instant.
+A minimal binary-heap scheduler with batch hooks and *dynamic time
+sources*.  The simulator registers a hook that runs after every batch
+of same-time events, which is where transport rates get recomputed —
+recomputing once per *timestamp* instead of once per *event* matters
+because barrier phases release dozens of shuffle flows at the same
+instant.
 
 Dynamic time sources are the structure-of-arrays answer to wakeup
-churn: instead of scheduling (and tombstoning, and re-scheduling) a
+churn: instead of scheduling (and cancelling, and re-scheduling) a
 heap event for every "earliest completion" / "next rate recompute"
 estimate, a source is a zero-argument callable returning the next time
 it wants the engine to wake (or ``None``).  The engine polls sources
 each loop iteration and merges their times with the heap head; a wakeup
 at ``T`` consumes every source value ``<= T``, so a source re-arms by
 simply returning a later time.  Cancelling is returning ``None`` —
-no heap object ever existed.
-
-Cancelled heap events (tombstones) are still supported for API users;
-the engine counts live-vs-tombstone entries and compacts the heap in
-place when tombstones outnumber live events, so pathological
-cancel/re-schedule patterns stay O(live) in memory.  The tombstone
-high-water mark and compaction count are exposed as telemetry.
+no heap object ever existed.  Heap events are therefore never
+cancelled: every scheduled callback fires once its time comes.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
-__all__ = ["EventHandle", "EventEngine"]
+__all__ = ["EventEngine"]
 
-# Heap entries are plain ``(time, sequence, handle)`` tuples: tuple
-# comparison short-circuits on ``time`` and never reaches the handle
-# (sequence numbers are unique), and pushing a tuple is several times
-# cheaper than constructing an order-enabled dataclass — measurable,
-# since every transfer schedules at least two events.
-
-#: Compaction trigger: rebuild the heap once at least this many
-#: tombstones accumulate *and* they outnumber live entries.  The floor
-#: keeps tiny heaps from compacting on every cancel.
-_COMPACT_MIN_TOMBSTONES = 64
-
-
-@dataclass
-class EventHandle:
-    """A scheduled callback; ``cancel()`` makes the engine skip it."""
-
-    time: float
-    callback: Callable[[], None] | None
-    _engine: "EventEngine | None" = field(default=None, repr=False, compare=False)
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (idempotent)."""
-        if self.callback is not None:
-            self.callback = None
-            if self._engine is not None:
-                self._engine._note_cancelled()
-
-    @property
-    def cancelled(self) -> bool:
-        """True if the event was cancelled."""
-        return self.callback is None
+# Heap entries are plain ``(time, sequence, callback)`` tuples: tuple
+# comparison short-circuits on ``time`` and never reaches the callback
+# (sequence numbers are unique, so same-time events run in scheduling
+# order).
 
 
 class EventEngine:
@@ -78,14 +45,14 @@ class EventEngine:
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
         self.now = 0.0
         self.events_processed = 0
         #: Number of same-timestamp batches drained (telemetry: the ratio
         #: events_processed / batches_processed is the mean batch size).
         self.batches_processed = 0
-        #: High-water mark of the heap, including cancelled entries.
+        #: High-water mark of the heap.
         self.peak_heap_depth = 0
         self.batch_hook: Callable[[], None] | None = None
         self.time_advance_hook: Callable[[float], None] | None = None
@@ -93,56 +60,24 @@ class EventEngine:
         #: time they need the engine to wake, or ``None`` for "nothing".
         self.dynamic_sources: list[Callable[[], float | None]] = []
         self._dynamic_last_fired: list[float] = []
-        #: Cancelled entries still sitting in the heap.
-        self._tombstones = 0
-        #: Telemetry: tombstone high-water mark, heap rebuilds, batches
-        #: triggered by a dynamic source rather than a heap event.
-        self.peak_tombstones = 0
-        self.heap_compactions = 0
+        #: Telemetry: batches triggered by a dynamic source rather than
+        #: a heap event.
         self.dynamic_wakeups = 0
 
     # ---------------------------------------------------------------- heap
 
-    def schedule(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at ``time`` (>= now) and return its handle."""
+    def schedule(self, time: float, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` at ``time`` (>= now)."""
         if time < self.now - 1e-9:
             raise ValueError(f"cannot schedule at {time} before now {self.now}")
-        handle = EventHandle(time=max(time, self.now), callback=callback, _engine=self)
-        heapq.heappush(self._heap, (handle.time, next(self._sequence), handle))
+        heapq.heappush(
+            self._heap, (max(time, self.now), next(self._sequence), callback)
+        )
         if len(self._heap) > self.peak_heap_depth:
             self.peak_heap_depth = len(self._heap)
-        return handle
-
-    def schedule_after(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` after a non-negative ``delay``."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        return self.schedule(self.now + delay, callback)
-
-    def _note_cancelled(self) -> None:
-        """Account a live->tombstone transition; compact past the ratio."""
-        self._tombstones += 1
-        if self._tombstones > self.peak_tombstones:
-            self.peak_tombstones = self._tombstones
-        live = len(self._heap) - self._tombstones
-        if self._tombstones >= _COMPACT_MIN_TOMBSTONES and self._tombstones > live:
-            self.compact()
-
-    def compact(self) -> None:
-        """Rebuild the heap without tombstones (stable: entries keep their
-        ``(time, sequence)`` keys, so event order is unchanged)."""
-        if not self._tombstones:
-            return
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
-        self._tombstones = 0
-        self.heap_compactions += 1
 
     def peek_time(self) -> float | None:
-        """Time of the next pending (non-cancelled) event, or ``None``."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-            self._tombstones -= 1
+        """Time of the next pending event, or ``None``."""
         return self._heap[0][0] if self._heap else None
 
     # ------------------------------------------------------------- dynamic
@@ -202,18 +137,10 @@ class EventEngine:
             if self.time_advance_hook is not None:
                 self.time_advance_hook(next_time)
             # Drain the batch at this timestamp; callbacks may extend it.
-            while True:
-                while self._heap and self._heap[0][2].cancelled:
-                    heapq.heappop(self._heap)
-                    self._tombstones -= 1
-                if not self._heap or self._heap[0][0] > self.now + 1e-12:
-                    break
-                handle = heapq.heappop(self._heap)[2]
-                callback = handle.callback
-                handle.callback = None
-                if callback is not None:
-                    self.events_processed += 1
-                    callback()
+            while self._heap and self._heap[0][0] <= self.now + 1e-12:
+                callback = heapq.heappop(self._heap)[2]
+                self.events_processed += 1
+                callback()
             self.batches_processed += 1
             if self.batch_hook is not None:
                 self.batch_hook()
@@ -221,5 +148,5 @@ class EventEngine:
 
     @property
     def pending(self) -> int:
-        """Number of queued, non-cancelled events."""
-        return len(self._heap) - self._tombstones
+        """Number of queued events."""
+        return len(self._heap)

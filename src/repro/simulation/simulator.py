@@ -349,9 +349,6 @@ class Simulator:
         tele.counter("engine.batches_processed").inc(self.engine.batches_processed)
         tele.gauge("engine.peak_heap_depth").max(self.engine.peak_heap_depth)
         tele.counter("engine.dynamic_wakeups").inc(self.engine.dynamic_wakeups)
-        tele.gauge("engine.peak_tombstones").max(self.engine.peak_tombstones)
-        if self.engine.heap_compactions:
-            tele.counter("engine.heap_compactions").inc(self.engine.heap_compactions)
         tele.counter("transport.transfers_started").inc(
             self.transport.transfers_started
         )

@@ -33,7 +33,7 @@ event objects, the transport keeps a **completion frontier** — the next
 *epoch* bump on each allocation pass.  The engine polls
 :meth:`FluidTransport.next_completion_wakeup` as a dynamic time source,
 so cancelling/re-scheduling a completion is a version bump, never a
-heap tombstone.
+heap operation.
 """
 
 from __future__ import annotations

@@ -101,6 +101,17 @@ class TestRunnerContract:
         with pytest.raises(KeyError, match="fig99"):
             run_campaign(micro_config(), seeds=1, experiments=["fig99"])
 
+    def test_rejects_non_positive_lease_ttl(self, capsys):
+        from repro.cli import main
+
+        for ttl in (0, -1.5):
+            with pytest.raises(ValueError, match="lease_ttl must be positive"):
+                run_campaign(micro_config(), seeds=1, experiments=["fig09"],
+                             lease_ttl=ttl)
+            assert main(["campaign", "run", "--seeds", "1",
+                         "--experiments", "fig09", f"--lease-ttl={ttl}"]) == 2
+            assert "lease_ttl must be positive" in capsys.readouterr().err
+
     def test_progress_callback_sees_every_seed(self):
         seen = []
         run_campaign(

@@ -5,27 +5,45 @@ Three layers, mirroring the scheduler's own structure:
 * lease / result primitives — ``O_CREAT|O_EXCL`` single-winner claims,
   staleness (dead pid, old heartbeat), token-checked release, atomic
   idempotent publication;
-* the warm pool end to end — serial vs warm determinism, multi-worker
+* the queue end to end — serial and multi-worker runs, multi-worker
   lanes, resume-after-interrupt identity;
-* crash injection — a worker SIGKILLs itself mid-unit (via the
-  ``REPRO_SCHEDULER_KILL`` hook), and the campaign still finishes with
-  the exact hashes a serial run produces, counting the takeover.
+* crash injection — a worker (or, serially, the CLI process itself)
+  SIGKILLs itself mid-unit via the ``REPRO_SCHEDULER_KILL`` hook, and
+  the campaign still finishes, counting the takeover.
+
+Every determinism check compares against an oracle that involves no
+executor at all: per-seed content hashes and aggregates from direct
+:func:`~repro.experiments.common.build_dataset` calls.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.config import SimulationConfig
-from repro.experiments.cache import config_fingerprint
-from repro.experiments.campaign import render_campaign_report, run_campaign
-from repro.experiments.common import clear_dataset_cache
+from repro.experiments.cache import config_fingerprint, dataset_content_hash
+from repro.experiments.campaign import (
+    SeedRun,
+    aggregate_summaries,
+    render_campaign_report,
+    run_campaign,
+)
+from repro.experiments.common import (
+    build_dataset,
+    clear_dataset_cache,
+    small_config,
+)
+from repro.experiments.registry import get_experiment
 from repro.experiments.scheduler import (
     KILL_ENV,
     Lease,
@@ -42,6 +60,9 @@ from repro.experiments.scheduler import (
 from repro.workload.generator import WorkloadConfig
 
 MICRO_EXPERIMENTS = ["fig02", "fig09"]
+
+#: The package source root, for CLI subprocesses.
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def micro_config(seed: int = 3) -> SimulationConfig:
@@ -63,6 +84,37 @@ def _fresh_memory_cache():
 
 def _hashes(result) -> dict[int, str]:
     return {run.seed: run.content_hash for run in result.seed_runs}
+
+
+def _direct(config: SimulationConfig, seeds, experiments):
+    """``(hashes, aggregates)`` from direct builds, bypassing the queue.
+
+    The in-memory dataset cache is cleared afterwards so a campaign run
+    in this process rebuilds instead of reusing these objects.
+    """
+    hashes = {}
+    runs = []
+    for seed in seeds:
+        dataset = build_dataset(config.with_seed(seed), disk_cache=False)
+        hashes[seed] = dataset_content_hash(dataset)
+        summaries = {}
+        for name in experiments:
+            spec = get_experiment(name)
+            summaries[name] = spec.summary(spec.run(dataset))
+        runs.append(SeedRun(
+            seed=seed, fingerprint="", content_hash=hashes[seed],
+            wall_seconds=0.0, build_seconds=0.0, from_disk_cache=False,
+            summaries=summaries,
+        ))
+    clear_dataset_cache()
+    return hashes, aggregate_summaries(runs, experiments)
+
+
+def _assert_matches_direct(result, experiments) -> None:
+    hashes, aggregates = _direct(result.base_config, result.seeds,
+                                 experiments)
+    assert _hashes(result) == hashes
+    assert result.aggregates == aggregates
 
 
 # ------------------------------------------------------------------ primitives
@@ -203,34 +255,25 @@ class TestQueueStatus:
                                     "pending": 1}
 
 
-# ------------------------------------------------------------------ warm pool
+# ---------------------------------------------------------------- the queue
 
 
 class TestWarmPool:
-    def test_serial_warm_matches_spawn(self, tmp_path):
-        seeds = [3, 4]
-        spawn = run_campaign(micro_config(), seeds=seeds,
-                             experiments=MICRO_EXPERIMENTS, jobs=1,
-                             pool="spawn", cache_dir=tmp_path / "spawn")
-        warm = run_campaign(micro_config(), seeds=seeds,
-                            experiments=MICRO_EXPERIMENTS, jobs=1,
-                            pool="warm", cache_dir=tmp_path / "warm")
-        assert _hashes(spawn) == _hashes(warm)
-        assert spawn.aggregates == warm.aggregates
-        assert warm.scheduler["pool"] == "warm"
-        assert warm.scheduler["takeovers"] == 0
-        assert "claim" in warm.timeline.get("phase_totals", {})
+    def test_serial_queue_matches_direct_build(self, tmp_path):
+        serial = run_campaign(micro_config(), seeds=[3, 4],
+                              experiments=MICRO_EXPERIMENTS, jobs=1,
+                              cache_dir=tmp_path / "serial")
+        _assert_matches_direct(serial, MICRO_EXPERIMENTS)
+        assert serial.scheduler["queue_id"]
+        assert serial.scheduler["takeovers"] == 0
+        assert "claim" in serial.timeline.get("phase_totals", {})
 
     def test_parallel_workers_share_one_queue(self, tmp_path):
         seeds = [3, 4, 5]
-        serial = run_campaign(micro_config(), seeds=seeds,
-                              experiments=["fig09"], jobs=1,
-                              pool="spawn", cache_dir=tmp_path / "serial")
         warm = run_campaign(micro_config(), seeds=seeds,
                             experiments=["fig09"], jobs=2,
-                            pool="warm", cache_dir=tmp_path / "warm")
-        assert _hashes(serial) == _hashes(warm)
-        assert serial.aggregates == warm.aggregates
+                            cache_dir=tmp_path / "warm")
+        _assert_matches_direct(warm, ["fig09"])
         lanes = warm.timeline.get("lanes", [])
         worker_segments = [
             segment
@@ -249,15 +292,16 @@ class TestWarmPool:
         cache = tmp_path / "cache"
         first = run_campaign(micro_config(), seeds=seeds,
                              experiments=["fig09"], jobs=1,
-                             pool="warm", cache_dir=cache)
+                             cache_dir=cache)
         clear_dataset_cache()
         again = run_campaign(micro_config(), seeds=seeds,
                              experiments=["fig09"], jobs=1,
-                             pool="warm", cache_dir=cache, resume=True)
+                             cache_dir=cache, resume=True)
         assert again.scheduler["resumed_seeds"] == seeds
         assert all(run.resumed for run in again.seed_runs)
         assert _hashes(first) == _hashes(again)
         assert first.aggregates == again.aggregates
+        _assert_matches_direct(again, ["fig09"])
         # Resumed units contribute no fresh worker segments to the
         # timeline (only the parent's own merge lane remains).
         assert not [
@@ -272,15 +316,14 @@ class TestWarmPool:
         seeds = [3, 4]
         cache = tmp_path / "cache"
         full = run_campaign(config, seeds=seeds, experiments=["fig09"],
-                            jobs=1, pool="warm", cache_dir=cache)
+                            jobs=1, cache_dir=cache)
         # Simulate an interrupted run: drop one published result.
         qdir = queue_dir_for(full.scheduler["queue_id"], cache)
         victim = config_fingerprint(config.with_seed(4))
         os.unlink(qdir / f"{victim}.result.json")
         clear_dataset_cache()
         resumed = run_campaign(config, seeds=seeds, experiments=["fig09"],
-                               jobs=1, pool="warm", cache_dir=cache,
-                               resume=True)
+                               jobs=1, cache_dir=cache, resume=True)
         assert resumed.scheduler["resumed_seeds"] == [3]
         by_seed = {run.seed: run for run in resumed.seed_runs}
         assert by_seed[3].resumed and not by_seed[4].resumed
@@ -292,7 +335,7 @@ class TestWarmPool:
         config = micro_config()
         cache = tmp_path / "cache"
         run_campaign(config, seeds=[3], experiments=["fig09"], jobs=1,
-                     pool="warm", cache_dir=cache)  # warm the disk cache
+                     cache_dir=cache)  # warm the disk cache
         qid = campaign_queue_id(config, [3], ["fig09"])
         qdir = queue_dir_for(qid, cache)
         key = config_fingerprint(config.with_seed(3))
@@ -305,8 +348,7 @@ class TestWarmPool:
         timer.start()
         try:
             result = run_campaign(config, seeds=[3], experiments=["fig09"],
-                                  jobs=1, pool="warm", cache_dir=cache,
-                                  resume=True)
+                                  jobs=1, cache_dir=cache, resume=True)
         finally:
             timer.cancel()
         assert "lease-wait" in result.timeline["phase_totals"]
@@ -323,20 +365,14 @@ class TestCrashInjection:
         The victim is SIGKILLed right after winning the lease for seed 4
         (the ``claimed`` stage), before any compute.  The surviving
         worker (or a respawn) finds the dead pid's lease, takes it over,
-        and the final hashes are bit-identical to a serial run.
+        and the final hashes are bit-identical to direct builds.
         """
-        seeds = [3, 4, 5]
-        serial = run_campaign(micro_config(), seeds=seeds,
-                              experiments=["fig09"], jobs=1,
-                              pool="spawn", cache_dir=tmp_path / "serial")
         monkeypatch.setenv(KILL_ENV, "4:claimed")
-        killed = run_campaign(micro_config(), seeds=seeds,
+        killed = run_campaign(micro_config(), seeds=[3, 4, 5],
                               experiments=["fig09"], jobs=2,
-                              pool="warm", cache_dir=tmp_path / "warm",
-                              lease_ttl=4.0)
+                              cache_dir=tmp_path / "warm", lease_ttl=4.0)
         assert killed.scheduler["takeovers"] >= 1
-        assert _hashes(serial) == _hashes(killed)
-        assert serial.aggregates == killed.aggregates
+        _assert_matches_direct(killed, ["fig09"])
         assert "claim" in killed.timeline.get("phase_totals", {})
 
     def test_sigkill_after_publish_no_duplicate_build(self, tmp_path,
@@ -349,17 +385,12 @@ class TestCrashInjection:
         and, when shared memory is available, the ``shm-attach`` phase
         appears in the merged timeline.
         """
-        seeds = [3, 4]
-        serial = run_campaign(micro_config(), seeds=seeds,
-                              experiments=["fig09"], jobs=1,
-                              pool="spawn", cache_dir=tmp_path / "serial")
         monkeypatch.setenv(KILL_ENV, "3:published")
-        killed = run_campaign(micro_config(), seeds=seeds,
+        killed = run_campaign(micro_config(), seeds=[3, 4],
                               experiments=["fig09"], jobs=2,
-                              pool="warm", cache_dir=tmp_path / "warm",
-                              lease_ttl=2.0)
+                              cache_dir=tmp_path / "warm", lease_ttl=2.0)
         assert killed.scheduler["takeovers"] >= 1
-        assert _hashes(serial) == _hashes(killed)
+        _assert_matches_direct(killed, ["fig09"])
         by_seed = {run.seed: run for run in killed.seed_runs}
         assert by_seed[3].from_disk_cache
         if killed.scheduler["use_shm"]:
@@ -371,9 +402,54 @@ class TestCrashInjection:
         before = set(glob.glob("/dev/shm/repro-*"))
         monkeypatch.setenv(KILL_ENV, "3:published")
         run_campaign(micro_config(), seeds=[3, 4], experiments=["fig09"],
-                     jobs=2, pool="warm", cache_dir=tmp_path / "cache",
-                     lease_ttl=2.0)
+                     jobs=2, cache_dir=tmp_path / "cache", lease_ttl=2.0)
         assert set(glob.glob("/dev/shm/repro-*")) <= before
+
+    def test_serial_cli_sigkill_then_resume(self, tmp_path, capsys):
+        """The serial CLI process dies mid-campaign; ``--resume`` finishes.
+
+        ``repro campaign run --jobs 1`` SIGKILLs itself once the second
+        seed's dataset is in the cache but before its result is
+        published.  The first seed's result is published and the second
+        seed's lease names a dead pid, so ``campaign status`` reports it
+        stale, and ``--resume`` takes it over and ends with the hashes
+        and aggregates of direct builds.
+        """
+        from repro.cli import main
+
+        config = small_config()
+        seeds = (config.seed, config.seed + 1)
+        cache = tmp_path / "cache"
+        # Pre-fill the disk cache so neither run has to simulate.
+        for seed in seeds:
+            build_dataset(config.with_seed(seed), cache_dir=cache)
+        hashes, aggregates = _direct(config, seeds, ["fig09"])
+        args = ["campaign", "run", "--seeds", "2", "--jobs", "1",
+                "--experiments", "fig09", "--cache-dir", str(cache)]
+        env = dict(os.environ, PYTHONPATH=str(_SRC),
+                   **{KILL_ENV: f"{seeds[1]}:published"})
+        killed = subprocess.run(
+            [sys.executable, "-m", "repro", *args,
+             "--manifest-out", str(tmp_path / "killed.json")],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        assert not (tmp_path / "killed.json").exists()
+
+        assert main(["campaign", "status", "--seeds", "2",
+                     "--experiments", "fig09", "--cache-dir", str(cache)]) == 0
+        assert "1/2 done, 0 leased, 1 stale, 0 pending" in \
+            capsys.readouterr().out
+
+        manifest_path = tmp_path / "resumed.json"
+        assert main([*args, "--resume",
+                     "--manifest-out", str(manifest_path)]) == 0
+        campaign = json.loads(manifest_path.read_text())["extra"]["campaign"]
+        assert campaign["scheduler"]["resumed_seeds"] == [seeds[0]]
+        assert campaign["scheduler"]["takeovers"] == 1
+        assert {row["seed"]: row["content_hash"]
+                for row in campaign["per_seed"]} == hashes
+        assert campaign["aggregates"] == aggregates
 
 
 # ----------------------------------------------------------- partial manifests

@@ -235,19 +235,20 @@ class TestOperationsHandbook:
         parser = _build_parser()
         args = parser.parse_args([
             "campaign", "run", "--seeds", "8", "--jobs", "4",
-            "--experiments", "fig02,fig09", "--pool", "warm",
+            "--experiments", "fig02,fig09",
             "--resume", "--lease-ttl", "10",
             "--cache-dir", ".repro-cache",
         ])
-        assert args.pool == "warm" and args.resume
+        assert args.resume
         assert args.lease_ttl == 10.0
         args = parser.parse_args([
             "campaign", "status", "--seeds", "8",
             "--experiments", "fig02,fig09", "--cache-dir", ".repro-cache",
         ])
         assert args.campaign_command == "status"
-        args = parser.parse_args(["campaign", "run", "--pool", "spawn"])
-        assert args.pool == "spawn"
+        # One executor: the work queue; there is no pool to choose.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["campaign", "run", "--pool", "warm"])
 
     def test_readme_scaling_section(self):
         readme = (_REPO_ROOT / "README.md").read_text()

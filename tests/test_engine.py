@@ -34,17 +34,6 @@ class TestScheduling:
         with pytest.raises(ValueError):
             engine.schedule(1.0, lambda: None)
 
-    def test_schedule_after(self):
-        engine = EventEngine()
-        times = []
-        engine.schedule_after(1.5, lambda: times.append(engine.now))
-        engine.run(until=2.0)
-        assert times == [1.5]
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventEngine().schedule_after(-1.0, lambda: None)
-
     def test_events_beyond_until_pend(self):
         engine = EventEngine()
         fired = []
@@ -60,31 +49,6 @@ class TestScheduling:
         engine.run(until=5.0)
         with pytest.raises(ValueError):
             engine.run(until=4.0)
-
-
-class TestCancellation:
-    def test_cancelled_event_skipped(self):
-        engine = EventEngine()
-        fired = []
-        handle = engine.schedule(1.0, lambda: fired.append(1))
-        handle.cancel()
-        engine.run(until=2.0)
-        assert fired == []
-        assert engine.events_processed == 0
-
-    def test_cancel_idempotent(self):
-        engine = EventEngine()
-        handle = engine.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert handle.cancelled
-
-    def test_peek_skips_cancelled(self):
-        engine = EventEngine()
-        first = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
-        first.cancel()
-        assert engine.peek_time() == 2.0
 
 
 class TestHooks:
@@ -130,55 +94,6 @@ class TestHooks:
         engine.schedule(1.0, lambda: None)
         engine.run(until=2.0)
         assert fired == ["late"]
-
-
-class TestCompaction:
-    def test_tombstone_majority_triggers_compaction(self):
-        from repro.simulation.engine import _COMPACT_MIN_TOMBSTONES
-
-        engine = EventEngine()
-        fired = []
-        keep = [
-            engine.schedule(float(i), lambda i=i: fired.append(i))
-            for i in range(50)
-        ]
-        doomed = [
-            engine.schedule(1000.0 + i, lambda: fired.append("doomed"))
-            for i in range(_COMPACT_MIN_TOMBSTONES + 10)
-        ]
-        for handle in doomed:
-            handle.cancel()
-        # Tombstones outnumber live events past the floor: the heap was
-        # rebuilt in place and the telemetry counters recorded it.
-        assert engine.heap_compactions >= 1
-        assert engine.peak_tombstones >= _COMPACT_MIN_TOMBSTONES
-        # Cancels after the rebuild may leave fresh tombstones, but the
-        # heap never again holds the full cancelled backlog.
-        assert engine._tombstones < _COMPACT_MIN_TOMBSTONES
-        assert len(engine._heap) == len(keep) + engine._tombstones
-        # Compaction is invisible to delivery: survivors fire in order.
-        engine.run(until=100.0)
-        assert fired == list(range(50))
-
-    def test_small_heaps_never_compact(self):
-        engine = EventEngine()
-        for _ in range(10):
-            engine.schedule(1.0, lambda: None).cancel()
-        assert engine.heap_compactions == 0
-        assert engine.peak_tombstones == 10
-
-    def test_explicit_compact_is_stable(self):
-        engine = EventEngine()
-        fired = []
-        engine.schedule(1.0, lambda: fired.append("a"))
-        stale = engine.schedule(1.0, lambda: fired.append("stale"))
-        engine.schedule(1.0, lambda: fired.append("b"))
-        stale.cancel()
-        engine.compact()
-        assert engine._tombstones == 0
-        engine.run(until=2.0)
-        # Same-timestamp FIFO order survives the rebuild.
-        assert fired == ["a", "b"]
 
 
 class TestDynamicSources:
