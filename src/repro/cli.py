@@ -729,12 +729,11 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             str(unit["seed"]),
             unit["fingerprint"][:12],
             unit["state"],
-            "yes" if unit["shm"] else "",
             holder,
         ))
     print(format_table(
         "work units", rows,
-        headers=("seed", "fingerprint", "state", "shm", "lease"),
+        headers=("seed", "fingerprint", "state", "lease"),
     ))
     counts = status["counts"]
     total = sum(counts.values())

@@ -46,7 +46,6 @@ __all__ = [
     "LRUCache",
     "DatasetDiskCache",
     "default_cache_dir",
-    "NPZ_FIELDS",
 ]
 
 #: Bump to invalidate every persisted dataset (format or semantics change).
@@ -211,9 +210,7 @@ class LRUCache:
 # ---------------------------------------------------------------- disk cache
 
 #: Big numeric payloads stored in ``arrays.npz`` instead of the pickle.
-#: The scheduler's shared-memory hand-off publishes exactly this set.
-NPZ_FIELDS = ("utilization", "observed_links")
-_NPZ_FIELDS = NPZ_FIELDS
+_NPZ_FIELDS = ("utilization", "observed_links")
 
 
 class DatasetDiskCache:
@@ -238,14 +235,12 @@ class DatasetDiskCache:
         """Directory that does/would hold this fingerprint's artefacts."""
         return self.root / f"dataset-{fingerprint}"
 
-    def load(self, fingerprint: str, arrays: dict | None = None):
+    def load(self, fingerprint: str):
         """The cached dataset, or None on miss/version-mismatch/corruption.
 
-        ``arrays`` (if given) supplies the large numeric fields from
-        elsewhere — the scheduler passes arrays attached from shared
-        memory (:mod:`repro.experiments.shm`) so only the pickled object
-        graph is read from disk and the npz decompress is skipped.  Any
-        field missing from ``arrays`` still loads from ``arrays.npz``.
+        This is how a process gets a dataset it did not build, including
+        a campaign worker taking over a seed from a worker that died
+        after storing it.
         """
         entry = self.entry_dir(fingerprint)
         try:
@@ -255,15 +250,9 @@ class DatasetDiskCache:
                 return None
             with open(entry / "dataset.pkl", "rb") as handle:
                 dataset = pickle.load(handle)
-            restored = dict(arrays) if arrays else {}
-            missing = [name for name in _NPZ_FIELDS if name not in restored]
-            if missing:
-                with np.load(entry / "arrays.npz") as stored:
-                    for name in missing:
-                        restored[name] = stored[name]
-            return dataclasses.replace(
-                dataset, **{name: restored[name] for name in _NPZ_FIELDS}
-            )
+            with np.load(entry / "arrays.npz") as stored:
+                restored = {name: stored[name] for name in _NPZ_FIELDS}
+            return dataclasses.replace(dataset, **restored)
         except (OSError, json.JSONDecodeError, KeyError, EOFError,
                 pickle.UnpicklingError, ValueError, AttributeError,
                 ModuleNotFoundError):

@@ -101,7 +101,7 @@ class CampaignResult:
     #: written next to the manifest by ``repro campaign run``.
     timeline: dict = field(default_factory=dict)
     #: Work-queue bookkeeping (queue id/dir, takeovers, resumed seeds,
-    #: respawns, shared-memory hand-off).
+    #: respawns).
     scheduler: dict = field(default_factory=dict)
 
     def extra(self) -> dict:
@@ -191,7 +191,8 @@ def run_campaign(
     :mod:`~repro.experiments.scheduler` work queue: ``jobs <= 1`` claims,
     computes and publishes the units in-process (sharing the in-memory
     dataset cache); ``jobs > 1`` runs a warm pool of that many spawn
-    workers with shared-memory dataset hand-off.  ``progress`` (if
+    workers, and a worker that takes over a seed whose dataset was
+    already built loads it from the disk cache.  ``progress`` (if
     given) is called with ``(record, completed, total)`` per seed.
 
     ``resume=True`` honours results a previous (possibly interrupted)
@@ -281,7 +282,7 @@ def run_campaign(
         scheduler={
             key: outcome[key]
             for key in ("queue_id", "queue_dir", "takeovers",
-                        "resumed_seeds", "respawns", "use_shm")
+                        "resumed_seeds", "respawns")
         },
     )
 

@@ -7,7 +7,7 @@ repeat everything); they form a **work queue coordinated entirely
 through the disk cache directory**: every unit of work is a
 config-fingerprint key (the same sha256 the dataset cache is addressed
 by), and a campaign's queue lives in ``<cache-root>/queue-<id>/`` as
-three kinds of small files —
+two kinds of small files —
 
 * ``<fingerprint>.lease`` — an atomically-created (``O_CREAT|O_EXCL``)
   claim holding pid / host / heartbeat / TTL.  A background thread
@@ -18,9 +18,6 @@ three kinds of small files —
   via temp-file + ``os.replace`` so publication is atomic and
   idempotent: two workers racing the same unit (a takeover of a slow
   but living worker) publish byte-identical records, deterministically.
-* ``<fingerprint>.shm.json`` — a shared-memory manifest
-  (:mod:`repro.experiments.shm`) so later workers on the same host
-  attach the dataset's large arrays instead of re-reading the npz.
 
 Because the queue *is* the state, a crashed, killed or late-added
 worker is a no-op and ``repro campaign run`` is resumable by
@@ -29,10 +26,11 @@ result and only the missing keys are computed.  With ``jobs=1`` the
 claim → load-or-compute → run experiments → publish loop runs in the
 calling process; above that, workers are a **persistent warm pool**:
 each spawned process imports numpy/repro once, then runs the same loop
-until every key in the queue has a result.  The timeline gains three
-phases for the queue machinery: ``claim`` (lease acquisition),
-``lease-wait`` (idle while every remaining unit is leased elsewhere)
-and ``shm-attach`` (array hand-off from shared memory).
+until every key in the queue has a result.  A worker that takes over a
+unit whose dataset was already built loads it from the disk cache, the
+only dataset hand-off between workers.  The timeline gains two phases
+for the queue machinery: ``claim`` (lease acquisition) and
+``lease-wait`` (idle while every remaining unit is leased elsewhere).
 """
 
 from __future__ import annotations
@@ -56,12 +54,9 @@ from ..telemetry.resources import (
     PHASE_COMPUTE,
     PHASE_DATASET,
     PHASE_LEASE_WAIT,
-    PHASE_SHM_ATTACH,
     PHASE_WAIT,
 )
-from . import shm
 from .cache import (
-    NPZ_FIELDS,
     DatasetDiskCache,
     config_fingerprint,
     dataset_content_hash,
@@ -157,10 +152,6 @@ def _lease_path(queue_dir: pathlib.Path, key: str) -> pathlib.Path:
 
 def _result_path(queue_dir: pathlib.Path, key: str) -> pathlib.Path:
     return queue_dir / f"{key}.result.json"
-
-
-def _shm_manifest_path(queue_dir: pathlib.Path, key: str) -> pathlib.Path:
-    return queue_dir / f"{key}.shm.json"
 
 
 # -------------------------------------------------------------------- leases
@@ -345,23 +336,16 @@ def load_result(queue_dir, key: str) -> dict | None:
 
 
 def reset_queue(queue_dir) -> int:
-    """Remove every queue artefact (leases, results, shm manifests).
+    """Remove every queue artefact (leases, results, crash markers).
 
-    Shared-memory blocks named by on-disk manifests are unlinked first
-    so a reset never leaks ``/dev/shm`` segments.  Returns the number
-    of files removed.  This is what a non-``resume`` campaign run does
-    on startup — the default is a fresh computation.
+    Returns the number of files removed.  This is what a non-``resume``
+    campaign run does on startup — the default is a fresh computation.
     """
     root = pathlib.Path(queue_dir)
     if not root.is_dir():
         return 0
     removed = 0
-    for path in root.glob("*.shm.json"):
-        try:
-            shm.unlink_manifest(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError):
-            pass
-    for pattern in ("*.lease", "*.result.json", "*.shm.json", "*.killed",
+    for pattern in ("*.lease", "*.result.json", "*.killed",
                     "*.tmp-*", "*.renew-*"):
         for path in root.glob(pattern):
             try:
@@ -378,8 +362,8 @@ def queue_status(base_config, seeds: Sequence[int],
 
     Recomputes the queue id from the campaign parameters (the same
     derivation ``run_queue`` uses) and classifies every unit as
-    ``done`` (result published), ``leased`` (live heartbeat),
-    ``stale`` (takeover-eligible lease) or ``pending``.
+    ``done`` (a result :func:`load_result` accepts), ``leased`` (live
+    heartbeat), ``stale`` (takeover-eligible lease) or ``pending``.
     """
     qid = campaign_queue_id(base_config, seeds, experiments)
     qdir = queue_dir_for(qid, cache_dir)
@@ -389,7 +373,7 @@ def queue_status(base_config, seeds: Sequence[int],
     for seed in seeds:
         key = config_fingerprint(base_config.with_seed(seed))
         lease = None
-        if _result_path(qdir, key).exists():
+        if load_result(qdir, key) is not None:
             state = "done"
         else:
             lease = read_lease(_lease_path(qdir, key))
@@ -405,7 +389,6 @@ def queue_status(base_config, seeds: Sequence[int],
             "fingerprint": key,
             "state": state,
             "lease": lease,
-            "shm": _shm_manifest_path(qdir, key).exists(),
         })
     return {
         "queue_id": qid,
@@ -458,54 +441,20 @@ def _seed_heartbeat(seed: int) -> Callable[[dict], None]:
     return beat
 
 
-def _read_shm_manifest(queue_dir: pathlib.Path, key: str) -> dict | None:
-    try:
-        return json.loads(
-            _shm_manifest_path(queue_dir, key).read_text(encoding="utf-8")
-        )
-    except (OSError, json.JSONDecodeError):
-        return None
+def _acquire_dataset(config, key: str, tele, profiler, *, cache_dir,
+                     disk_cache, build_gate, heartbeat, heartbeat_interval):
+    """Materialise the unit's dataset through :func:`build_dataset`.
 
-
-def _write_shm_manifest(queue_dir: pathlib.Path, key: str,
-                        manifest: dict) -> None:
-    path = _shm_manifest_path(queue_dir, key)
-    staging = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    with open(staging, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle)
-    os.replace(staging, path)
-
-
-def _acquire_dataset(config, key: str, tele, profiler, *, queue_dir,
-                     cache_dir, disk_cache, use_shm, build_gate,
-                     heartbeat, heartbeat_interval):
-    """Materialise the unit's dataset, cheapest source first.
-
-    Order: shared-memory attach (arrays from a sibling worker + object
-    graph from disk), then :func:`build_dataset` (memory LRU → disk
-    cache → simulate).  CPU-bound builds serialise through
-    ``build_gate`` so N workers on a C-core host never run more than C
-    simulations at once — the wait is billed to the ``wait`` phase, the
-    build itself to ``dataset-load``, keeping the summed dataset-load
-    comparable to a serial run.  Returns ``(dataset, via_shm,
-    published_manifest)``.
+    :func:`build_dataset` tries the memory LRU, then the disk cache,
+    then simulates; a takeover of a unit from a worker that died after
+    storing the dataset therefore loads it from the disk cache.
+    CPU-bound builds serialise through ``build_gate`` so N workers on a
+    C-core host never run more than C simulations at once — the wait is
+    billed to the ``wait`` phase, the build itself to ``dataset-load``,
+    keeping the summed dataset-load comparable to a serial run.
     """
-    disk_on = _disk_cache_enabled(disk_cache, cache_dir)
-    if use_shm and disk_on:
-        manifest = _read_shm_manifest(queue_dir, key)
-        if manifest is not None:
-            with profiler.phase(PHASE_SHM_ATTACH):
-                arrays = shm.attach_arrays(manifest)
-                dataset = (
-                    DatasetDiskCache(cache_dir).load(key, arrays)
-                    if arrays is not None else None
-                )
-            if dataset is not None:
-                tele.counter("dataset.shm_attach_hits").inc()
-                return dataset, True, None
-            tele.counter("dataset.shm_attach_misses").inc()
     needs_build = True
-    if disk_on:
+    if _disk_cache_enabled(disk_cache, cache_dir):
         needs_build = not DatasetDiskCache(cache_dir).entry_dir(key).exists()
     gated = needs_build and build_gate is not None
     if gated:
@@ -526,17 +475,7 @@ def _acquire_dataset(config, key: str, tele, profiler, *, queue_dir,
     finally:
         if gated:
             build_gate.release()
-    manifest = None
-    if use_shm and disk_on and shm.HAVE_SHM and \
-            not _shm_manifest_path(queue_dir, key).exists():
-        try:
-            manifest = shm.publish_arrays(
-                key, {name: getattr(dataset, name) for name in NPZ_FIELDS}
-            )
-            _write_shm_manifest(queue_dir, key, manifest)
-        except OSError:
-            manifest = None  # shm full/unavailable: stay on the disk path
-    return dataset, False, manifest
+    return dataset
 
 
 def _process_unit(seed: int, key: str, params: dict, build_gate, *,
@@ -567,10 +506,9 @@ def _process_unit(seed: int, key: str, params: dict, build_gate, *,
     with tele.span("campaign.seed", seed=seed,
                    campaign_id=params["campaign_id"], pid=profiler.pid,
                    takeover=takeover):
-        dataset, via_shm, shm_manifest = _acquire_dataset(
+        dataset = _acquire_dataset(
             config, key, tele, profiler,
-            queue_dir=queue_dir, cache_dir=params["cache_dir"],
-            disk_cache=params["disk_cache"], use_shm=params["use_shm"],
+            cache_dir=params["cache_dir"], disk_cache=params["disk_cache"],
             build_gate=build_gate, heartbeat=heartbeat,
             heartbeat_interval=heartbeat_interval,
         )
@@ -588,10 +526,10 @@ def _process_unit(seed: int, key: str, params: dict, build_gate, *,
                 summaries[name] = spec.summary(result)
     profiler.stop()
     snapshot = tele.metrics.snapshot()
-    from_disk_cache = via_shm or (
+    from_disk_cache = (
         snapshot.get("dataset.disk_cache_hits", {}).get("value", 0.0) > 0
     )
-    record = {
+    return {
         "seed": seed,
         "fingerprint": key,
         "content_hash": dataset_content_hash(dataset),
@@ -607,9 +545,6 @@ def _process_unit(seed: int, key: str, params: dict, build_gate, *,
             submitted_at=submitted_at, started_at=started_at,
         ),
     }
-    if shm_manifest is not None:
-        record["shm_manifest"] = shm_manifest
-    return record
 
 
 def _worker_loop(params: dict, emit: Callable[[dict], None],
@@ -636,7 +571,7 @@ def _worker_loop(params: dict, emit: Callable[[dict], None],
         remaining = False
         for index in range(len(units)):
             seed, key = units[(index + offset) % len(units)]
-            if _result_path(queue_dir, key).exists():
+            if load_result(queue_dir, key) is not None:
                 continue
             remaining = True
             claim_started = time.time()
@@ -678,7 +613,7 @@ def _pool_worker(params: dict, result_queue, build_gate) -> None:
     every worker before it merges the timeline, so interpreter teardown
     (~0.2 s of module finalisation) would show up as uncovered campaign
     wall-clock.  Nothing else needs finalising — leases are released
-    and shared-memory blocks belong to the parent.
+    and the dataset, if built, is already in the disk cache.
     """
     _worker_loop(params, result_queue.put, build_gate)
     result_queue.close()
@@ -713,13 +648,12 @@ def run_queue(
     records drain through a multiprocessing queue.  Dead workers are
     respawned while unpublished units remain; results published by a
     worker that died before shipping its record are recovered from the
-    queue directory.  Multi-worker runs with a disk cache hand datasets
-    over through shared memory where the platform has it; segments
-    reported by workers (and any left by crashed ones) are unlinked
-    before returning.
+    queue directory.  A unit counts as done only once :func:`load_result`
+    accepts its published record, so a corrupt or partial result file is
+    recomputed and republished over.
 
     Returns ``{"records", "queue_id", "queue_dir", "takeovers",
-    "resumed_seeds", "respawns", "use_shm"}`` where ``records`` maps
+    "resumed_seeds", "respawns"}`` where ``records`` maps
     seed → result record (freshly computed records carry a telemetry
     ``report``; resumed ones do not).
     """
@@ -744,7 +678,6 @@ def run_queue(
     ]
     if not resume:
         reset_queue(queue_dir)
-    use_shm = bool(shm.HAVE_SHM and disk_on and jobs > 1)
 
     records: dict[int, dict] = {}
     resumed_seeds: list[int] = []
@@ -766,13 +699,9 @@ def run_queue(
     pending = [(seed, key) for seed, key in units if seed not in records]
     takeovers = 0
     respawns = 0
-    tracker = shm.SharedSegmentTracker()
 
     def absorb(record: dict) -> None:
         nonlocal takeovers
-        manifest = record.pop("shm_manifest", None)
-        if manifest is not None:
-            tracker.record(record["fingerprint"], manifest)
         if record.pop("takeover", False):
             takeovers += 1
         collect(record)
@@ -787,7 +716,6 @@ def run_queue(
         "campaign_id": campaign_id,
         "heartbeat_interval": heartbeat_interval,
         "lease_ttl": lease_ttl,
-        "use_shm": use_shm,
     }
 
     if pending and jobs <= 1:
@@ -860,15 +788,6 @@ def run_queue(
             result_queue.close()
             result_queue.join_thread()
 
-    tracker.sweep(queue_dir, [key for _, key in units])
-    freed = tracker.unlink_all()
-    # The manifests' blocks are gone; drop the files too so a later
-    # resume doesn't chase segments that no longer exist.
-    for path in queue_dir.glob("*.shm.json"):
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
     if ephemeral is not None:
         import shutil
 
@@ -884,6 +803,4 @@ def run_queue(
         "takeovers": takeovers,
         "resumed_seeds": resumed_seeds,
         "respawns": respawns,
-        "use_shm": use_shm,
-        "shm_blocks_freed": freed,
     }

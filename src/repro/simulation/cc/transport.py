@@ -257,23 +257,6 @@ class QueuedTransport:
             self.peak_active = active
         return slot
 
-    def reroute_flow(self, slot: int, path_links: tuple[int, ...]) -> None:
-        """Move an in-flight flow onto a new path (flowlet switching).
-
-        Packets already enqueued keep draining from the per-link queues
-        they occupy; only pacing from the switching instant onward uses
-        the new path, matching a real switch's flowlet pinning table.
-        The congestion window and round state carry over unchanged.
-        """
-        if not 0 <= slot < self._paths.shape[0] or not self._active[slot]:
-            raise ValueError(f"slot {slot} has no active flow")
-        if not path_links:
-            raise ValueError("flow path must cross at least one link")
-        if len(path_links) > self.max_path:
-            raise ValueError("path exceeds transport's max path length")
-        self._paths[slot, :] = -1
-        self._paths[slot, : len(path_links)] = path_links
-
     def _finish(self, slot: int) -> None:
         meta = self._meta[slot]
         assert meta is not None

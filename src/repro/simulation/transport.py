@@ -280,31 +280,6 @@ class FluidTransport:
             self.peak_active = active
         return slot
 
-    def reroute_flow(self, slot: int, path_links: tuple[int, ...]) -> None:
-        """Move an in-flight flow onto a new path (flowlet switching).
-
-        Bytes already moved were integrated on the old path by the last
-        ``advance_to``; callers re-routing mid-epoch must advance the
-        transport to the switching instant first so per-link byte
-        conservation holds across the change.  The flow-set version
-        bumps, invalidating the cached incidence structures, and rates
-        are marked dirty for the next allocation pass.
-        """
-        if not 0 <= slot < self._paths.shape[0] or not self._active[slot]:
-            raise ValueError(f"slot {slot} has no active flow")
-        if not path_links:
-            raise ValueError("flow path must cross at least one link")
-        if len(path_links) > self.max_path:
-            raise ValueError("path exceeds transport's max path length")
-        if self._inc is not None:
-            self._inc.on_remove(slot)
-        self._paths[slot, :] = -1
-        self._paths[slot, : len(path_links)] = path_links
-        if self._inc is not None:
-            self._inc.on_add(slot, tuple(path_links))
-        self.rates_dirty = True
-        self._flows_version += 1
-
     def _active_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cached ``(active_idx, paths, valid)`` for the current flow set.
 

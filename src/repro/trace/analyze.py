@@ -5,11 +5,13 @@
 :class:`~repro.core.streaming.StreamingFlows`,
 :class:`~repro.core.streaming.StreamingCongestion`) over a trace one
 chunk at a time.  With ``jobs > 1`` the chunk (and utilisation-bin)
-ranges are partitioned contiguously across ``spawn`` worker processes —
-the same pool shape as the campaign runner — and the partial
-accumulators are merged left to right, which by construction yields the
-identical result.  A :class:`~repro.core.streaming.FlowStatsSketch` is
-folded over the final flow table either way.
+ranges are partitioned contiguously across the ``spawn`` workers of a
+:class:`~concurrent.futures.ProcessPoolExecutor` created for the call,
+and the partial accumulators are merged left to right, which by
+construction yields the identical result.  On a 2-vCPU host ``jobs=2``
+measured slower than ``jobs=1`` on every trace tried (README, "Recording
+and analyzing traces").  A :class:`~repro.core.streaming.FlowStatsSketch`
+is folded over the final flow table either way.
 """
 
 from __future__ import annotations

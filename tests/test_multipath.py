@@ -4,8 +4,8 @@ Property tests over ``topology_kind x routing_impl``: equal-cost path
 sets are loop-free walks connecting the right endpoints, ECMP hashing
 is deterministic across processes and seeds, flowlet switching re-hashes
 only after the idle gap, per-link byte accounting survives multi-path
-splits and mid-flight reroutes, and ``bisection_bandwidth`` matches the
-closed-form k-ary fat-tree value.  Plus the integration seams: the new
+splits, and ``bisection_bandwidth`` matches the closed-form k-ary
+fat-tree value.  Plus the integration seams: the new
 validate checkers, trace-meta round-trips for every fabric (including a
 seed-era meta block), and the ECMP-vs-flowlet regression the topology
 experiments must reproduce.
@@ -298,7 +298,7 @@ class TestFlowletSwitching:
             FlowletRouter(topo, idle_gap=0.0)
 
 
-# ------------------------------------------- byte conservation / reroute
+# ------------------------------------------------------ byte conservation
 
 
 class TestMultiPathByteConservation:
@@ -324,65 +324,6 @@ class TestMultiPathByteConservation:
         result = simulate(self._sim_config(routing_impl))
         assert len(result.socket_log), "campaign produced no events"
         assert_invariants(result)
-
-    def test_reroute_conserves_per_link_bytes(self):
-        """A mid-flight reroute integrates bytes on each path exactly
-        for the time spent there."""
-        from repro.simulation.linkloads import LinkLoadTracker
-        from repro.simulation.transport import FluidTransport, TransferMeta
-
-        topo = ClusterTopology(
-            ClusterSpec.leaf_spine(racks=2, spines=2, servers_per_rack=2)
-        )
-        tracker = LinkLoadTracker(topo, bin_width=0.5, horizon=10.0)
-        transport = FluidTransport(topo, sinks=[tracker])
-        router = Router(topo)
-        src, dst = 0, topo.spec.servers_per_rack
-        path_a, path_b = router.equal_cost_paths(src, dst)
-
-        size = 2.0 * GBPS  # 2 seconds at the 1 Gbps NIC bottleneck
-        slot = transport.add_flow(
-            src, dst, size, path_a, TransferMeta(kind="t")
-        )
-        transport.recompute_rates()
-        transport.advance_to(1.0)
-        transport.reroute_flow(slot, path_b)
-        transport.recompute_rates()
-        # Step to the drain instant, the way the engine does.
-        done = transport.next_completion_time()
-        assert done == pytest.approx(2.0)
-        transport.advance_to(done)
-        assert transport.pop_completed(), "flow should have drained"
-
-        rate = topo.spec.server_nic_capacity
-        matrix = tracker.byte_matrix()
-        only_a = set(path_a) - set(path_b)
-        only_b = set(path_b) - set(path_a)
-        shared = set(path_a) & set(path_b)
-        assert only_a and only_b
-        for link in only_a:
-            np.testing.assert_allclose(matrix[link].sum(), rate * 1.0)
-        for link in only_b:
-            np.testing.assert_allclose(matrix[link].sum(), rate * 1.0)
-        for link in shared:
-            np.testing.assert_allclose(matrix[link].sum(), size)
-
-    def test_reroute_rejects_bad_slots_and_paths(self):
-        from repro.simulation.transport import FluidTransport, TransferMeta
-
-        topo = ClusterTopology(ClusterSpec.leaf_spine(racks=2, spines=2))
-        transport = FluidTransport(topo)
-        router = Router(topo)
-        src, dst = 0, topo.spec.servers_per_rack
-        paths = router.equal_cost_paths(src, dst)
-        slot = transport.add_flow(src, dst, 10.0, paths[0],
-                                  TransferMeta(kind="t"))
-        with pytest.raises(ValueError):
-            transport.reroute_flow(slot, ())
-        with pytest.raises(ValueError):
-            transport.reroute_flow(slot + 1, paths[1])
-        with pytest.raises(ValueError):
-            transport.reroute_flow(slot, tuple(range(20)))
 
 
 # ----------------------------------------------------- bisection closed forms
