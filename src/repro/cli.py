@@ -914,6 +914,7 @@ def _cmd_trace_analyze(args: argparse.Namespace) -> int:
         checks = check_against_inmemory(
             args.trace, window=args.window,
             inactivity_timeout=timeout, threshold=args.threshold,
+            jobs=args.jobs,
         )
         for name, passed in checks.items():
             print(f"  check {name}: {'OK' if passed else 'MISMATCH'}")

@@ -120,7 +120,7 @@ def reconstruct_flows(
     ``log`` is a finalized :class:`SocketEventLog`, a trace path, or a
     :class:`~repro.trace.reader.TraceReader` (trace sources are loaded in
     full; use :class:`~repro.core.streaming.StreamingFlows` for
-    constant-memory reconstruction).
+    chunked reconstruction).
 
     Events of each five-tuple are ordered in time; a silence longer than
     ``inactivity_timeout`` ends the current flow and begins a new one.

@@ -28,10 +28,14 @@ lets the test suite assert exact array equality instead of tolerances:
 * **Flows** — per-flow byte totals come from ``np.add.reduceat`` over
   the flow's complete event-byte segment on both paths (the reduction
   depends only on the segment's contents), so chunked reconstruction
-  cannot drift.  Open flows and each accumulator's first flow per tuple
-  stay raw so merges can re-join flows split at chunk boundaries, and
-  the send-side-preference rule — a global property of the log — is
-  resolved at finalize from per-direction sub-accumulators.
+  cannot drift.  A flow's raw bytes are therefore held while it can
+  still change: while its last event is within the inactivity timeout
+  of the newest timestamp seen, or while it began within the timeout of
+  the accumulator's first event (a merge may join it onto a flow from
+  the left).  Every other flow is reduced at once, so memory follows the
+  chunk plus the bytes of those two sets of flows, not the trace.  The
+  send-side-preference rule — a global property of the log — is
+  resolved at finalize from per-direction flows.
 * **Congestion** — hot runs are tracked as absolute integer bin indices
   and stitched across boundaries; times and durations are produced by
   the same ``int * bin_width`` multiplications as
@@ -167,138 +171,100 @@ class StreamingTrafficMatrix:
 # ------------------------------------------------------------------- flows
 
 
-class _FlowState:
-    """One (possibly still open) flow of a single five-tuple stream."""
+#: The five-tuple, in the order of the in-memory tuple sort.
+_TUPLE = ("src", "src_port", "dst", "dst_port", "protocol")
+#: A stream is a five-tuple's events in one direction.
+_STREAM = (*_TUPLE, "direction")
 
-    __slots__ = (
-        "start", "end", "events", "job_id", "phase_index", "parts", "closed_bytes",
-    )
-
-    def __init__(
-        self,
-        start: float,
-        end: float,
-        events: int,
-        job_id: int,
-        phase_index: int,
-        parts: list,
-    ) -> None:
-        self.start = start
-        self.end = end
-        self.events = events
-        self.job_id = job_id
-        self.phase_index = phase_index
-        #: Raw per-event byte arrays while the flow may still grow.
-        self.parts = parts
-        self.closed_bytes: float | None = None
-
-    def collapse(self) -> None:
-        """Reduce the raw byte segment to its total (flow can no longer grow)."""
-        if self.parts is not None:
-            self.closed_bytes = _segment_sum(self.parts)
-            self.parts = None
-
-    def byte_total(self) -> float:
-        """Total bytes, via the same reduction the in-memory path uses."""
-        if self.parts is not None:
-            return _segment_sum(self.parts)
-        return self.closed_bytes
+#: One row per flow: its stream, first and last event times, event count
+#: and the application context of its first event.
+_FLOW_DTYPES = (
+    ("src", np.int64), ("src_port", np.int64), ("dst", np.int64),
+    ("dst_port", np.int64), ("protocol", np.int16), ("direction", np.int8),
+    ("start", float), ("end", float), ("events", np.int64),
+    ("job_id", np.int64), ("phase_index", np.int64),
+)
 
 
-def _segment_sum(parts: list) -> float:
-    """``np.add.reduceat`` over the flow's full event-byte segment.
+def _take(table: dict, index) -> dict:
+    return {name: column[index] for name, column in table.items()}
 
-    ``np.add.reduceat(big, starts)`` reduces each segment from its own
-    contents alone, so reducing the concatenated segment standalone gives
-    the identical float — this is what makes streamed byte totals equal
-    the in-memory ones exactly (plain ``sum``/``np.sum`` would not).
+
+def _concat(*tables: dict) -> dict:
+    return {
+        name: np.concatenate([table[name] for table in tables])
+        for name in tables[0]
+    }
+
+
+def _empty_flows() -> dict:
+    return {name: np.empty(0, dtype=dtype) for name, dtype in _FLOW_DTYPES}
+
+
+def _one_segment_each(offsets: np.ndarray, size: int) -> dict:
+    """The segment table of flows stored back to back in part 0.
+
+    A held flow's raw bytes are ``parts[part][start:stop]`` over its
+    segments (the rows whose ``owner`` is the flow), in table order.
     """
-    segment = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return float(np.add.reduceat(segment, [0])[0])
+    return {
+        "owner": np.arange(offsets.size),
+        "part": np.zeros(offsets.size, dtype=np.int64),
+        "start": offsets,
+        "stop": np.append(offsets[1:], size),
+    }
 
 
-class _TupleStream:
-    """Ordered flows of one five-tuple, one direction.
+def _stream_order(table: dict) -> np.ndarray:
+    """Stable sort by stream: each stream's rows keep their time order."""
+    return np.lexsort([table[name] for name in reversed(_STREAM)])
 
-    ``flows[0]`` (the accumulator's first flow for this tuple) and
-    ``flows[-1]`` (the still-open flow) keep raw byte parts; interior
-    flows are collapsed to totals as soon as a later flow begins.
+
+def _stream_hash(table: dict, rows=slice(None)) -> np.ndarray:
+    """A 64-bit hash of the stream of each row (of mask ``rows``)."""
+    hashes = np.zeros(table["start"][rows].size, dtype=np.uint64)
+    for name in _STREAM:
+        hashes = hashes * np.uint64(1_000_003) + table[name][rows].astype(np.uint64)
+    return hashes
+
+
+def _fuse(pieces: dict, order: np.ndarray, timeout: float) -> tuple[dict, np.ndarray]:
+    """Join the time-adjacent pieces of each stream into flows.
+
+    A piece is an event or a partial flow; ``order`` sorts the pieces by
+    stream (:func:`_stream_order`).  A silence longer than ``timeout``
+    between two pieces of a stream starts a new flow, the in-memory rule.
+    Returns the flows and the flow index of each sorted piece.
     """
-
-    __slots__ = ("flows",)
-
-    def __init__(self) -> None:
-        self.flows: list[_FlowState] = []
-
-    def _append(self, flow: _FlowState) -> None:
-        if len(self.flows) >= 2:
-            self.flows[-1].collapse()
-        self.flows.append(flow)
-
-    def add_segment(
-        self,
-        times: np.ndarray,
-        num_bytes: np.ndarray,
-        job_ids: np.ndarray,
-        phases: np.ndarray,
-        timeout: float,
-    ) -> None:
-        """Fold in this tuple's kept events from one chunk (time order)."""
-        breaks = np.flatnonzero(np.diff(times) > timeout) + 1
-        bounds = np.concatenate(([0], breaks, [times.size]))
-        joins_open = (
-            bool(self.flows) and float(times[0]) - self.flows[-1].end <= timeout
-        )
-        for k in range(bounds.size - 1):
-            s, e = int(bounds[k]), int(bounds[k + 1])
-            if k == 0 and joins_open:
-                open_flow = self.flows[-1]
-                open_flow.parts.append(num_bytes[s:e].copy())
-                open_flow.end = float(times[e - 1])
-                open_flow.events += e - s
-            else:
-                self._append(
-                    _FlowState(
-                        start=float(times[s]),
-                        end=float(times[e - 1]),
-                        events=e - s,
-                        job_id=int(job_ids[s]),
-                        phase_index=int(phases[s]),
-                        parts=[num_bytes[s:e].copy()],
-                    )
-                )
-
-    def merge(self, other: "_TupleStream", timeout: float) -> None:
-        """Absorb the stream covering the following chunk range."""
-        if not other.flows:
-            return
-        if not self.flows:
-            self.flows = other.flows
-            return
-        first = other.flows[0]  # raw by construction (other's head flow)
-        open_flow = self.flows[-1]  # raw (our open flow)
-        rest = other.flows
-        if first.start - open_flow.end <= timeout:
-            open_flow.parts.extend(first.parts)
-            open_flow.end = first.end
-            open_flow.events += first.events
-            rest = other.flows[1:]
-        for flow in rest:
-            self._append(flow)
-
-
-class _TupleEntry:
-    """Both direction streams of one five-tuple."""
-
-    __slots__ = ("send", "recv")
-
-    def __init__(self) -> None:
-        self.send = _TupleStream()
-        self.recv = _TupleStream()
+    n = order.size
+    if n == 0:
+        return _empty_flows(), np.empty(0, dtype=np.int64)
+    starts = pieces["start"][order]
+    ends = pieces["end"][order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = starts[1:] - ends[:-1] > timeout
+    for name in _STREAM:
+        column = pieces[name][order]
+        new[1:] |= column[1:] != column[:-1]
+    heads = np.flatnonzero(new)
+    flows = _take(pieces, order[heads])
+    flows["end"] = ends[np.append(heads[1:], n) - 1]
+    flows["events"] = np.add.reduceat(pieces["events"][order], heads)
+    return flows, np.cumsum(new) - 1
 
 
 class StreamingFlows:
     """Chunk-at-a-time flow reconstruction (see :func:`reconstruct_flows`).
+
+    State is columnar, one row per flow.  A flow is *held* with its raw
+    event bytes while it can still change: while its last event is within
+    the timeout of the newest timestamp seen (a later event may extend
+    it), or while it began within the timeout of this accumulator's first
+    event (an accumulator merged in from the left may join onto it).
+    Every other flow is reduced to its byte total at once.  Held bytes
+    stay in per-chunk ``parts`` arrays, located through a segment table,
+    so a chunk does not copy the bytes held before it; they are copied
+    together only once dead bytes and segments outweigh them.
 
     The send-side-preference rule — receive events count only for tuples
     with *no* send events anywhere in the log — is global, so both
@@ -312,110 +278,187 @@ class StreamingFlows:
         if inactivity_timeout <= 0:
             raise ValueError("inactivity_timeout must be positive")
         self.inactivity_timeout = inactivity_timeout
-        self._tuples: dict[tuple, _TupleEntry] = {}
         self.rows_processed = 0
+        self._first: float | None = None
+        self._newest: float | None = None
+        #: Flows that may still change; each stream's rows in time order.
+        self._held = _empty_flows()
+        self._segments = _one_segment_each(np.empty(0, dtype=np.int64), 0)
+        self._parts: list[np.ndarray] = []
+        #: Completed flows: ``_FLOW_DTYPES`` tables plus ``num_bytes``.
+        self._done: list[dict] = []
 
     def update(self, chunk) -> "StreamingFlows":
         """Fold in the next time-contiguous chunk of events."""
         log = _resolve_event_log(chunk)
         if len(log) == 0:
             return self
-        self.rows_processed += len(log)
-        src = log.column("src")
-        src_port = log.column("src_port")
-        dst = log.column("dst")
-        dst_port = log.column("dst_port")
-        protocol = log.column("protocol")
-        # Group by five-tuple; lexsort is stable, so each tuple's events
-        # keep their time order (ties included).
-        order = np.lexsort((protocol, dst_port, dst, src_port, src))
-        src, src_port = src[order], src_port[order]
-        dst, dst_port = dst[order], dst_port[order]
-        protocol = protocol[order]
-        times = log.column("timestamp")[order]
-        num_bytes = log.column("num_bytes")[order]
-        direction = log.column("direction")[order]
-        job_ids = log.column("job_id")[order]
-        phases = log.column("phase_index")[order]
+        return self.merge(self._from_events(log))
 
-        change = (
-            (src[1:] != src[:-1])
-            | (src_port[1:] != src_port[:-1])
-            | (dst[1:] != dst[:-1])
-            | (dst_port[1:] != dst_port[:-1])
-            | (protocol[1:] != protocol[:-1])
-        )
-        bounds = np.concatenate(
-            ([0], np.flatnonzero(change) + 1, [src.size])
-        )
-        timeout = self.inactivity_timeout
-        for k in range(bounds.size - 1):
-            s, e = int(bounds[k]), int(bounds[k + 1])
-            key = (
-                int(src[s]), int(src_port[s]),
-                int(dst[s]), int(dst_port[s]), int(protocol[s]),
-            )
-            entry = self._tuples.get(key)
-            if entry is None:
-                entry = self._tuples[key] = _TupleEntry()
-            sends = direction[s:e] == DIRECTION_SEND
-            for stream, mask in ((entry.send, sends), (entry.recv, ~sends)):
-                if mask.any():
-                    idx = np.flatnonzero(mask) + s
-                    stream.add_segment(
-                        times[idx], num_bytes[idx], job_ids[idx], phases[idx],
-                        timeout,
-                    )
-        return self
+    def _from_events(self, log: SocketEventLog) -> "StreamingFlows":
+        """A settled accumulator over one chunk alone."""
+        acc = StreamingFlows(self.inactivity_timeout)
+        acc.rows_processed = len(log)
+        times = log.column("timestamp")
+        acc._first, acc._newest = float(times[0]), float(times[-1])
+        events = {
+            name: log.column(name)
+            for name in (*_STREAM, "job_id", "phase_index")
+        }
+        events["start"] = events["end"] = times
+        events["events"] = np.ones(times.size, dtype=np.int64)
+        order = _stream_order(events)
+        acc._held, flow_of = _fuse(events, order, self.inactivity_timeout)
+        heads = np.flatnonzero(np.diff(flow_of, prepend=-1))
+        acc._parts = [log.column("num_bytes")[order]]
+        acc._segments = _one_segment_each(heads, times.size)
+        acc._settle()
+        return acc
 
     def merge(self, other: "StreamingFlows") -> "StreamingFlows":
         """Absorb an accumulator covering the following chunk range."""
         if self.inactivity_timeout != other.inactivity_timeout:
             raise ValueError("cannot merge flows with different timeouts")
         self.rows_processed += other.rows_processed
-        timeout = self.inactivity_timeout
-        for key, other_entry in other._tuples.items():
-            entry = self._tuples.get(key)
-            if entry is None:
-                self._tuples[key] = other_entry
-            else:
-                entry.send.merge(other_entry.send, timeout)
-                entry.recv.merge(other_entry.recv, timeout)
+        if other._first is None:
+            return self
+        if self._first is None:
+            self._first, self._newest = other._first, other._newest
+            self._held, self._segments = other._held, other._segments
+            self._parts, self._done = list(other._parts), list(other._done)
+            return self
+        # Only our flows still open at our newest event, of streams that
+        # ``other`` holds flows of, can join onto its flows.  A hash
+        # collision only admits a flow that then fuses with nothing.
+        held = self._held
+        joinable = self._newest - held["end"] <= self.inactivity_timeout
+        joinable[joinable] = np.isin(
+            _stream_hash(held, joinable), _stream_hash(other._held)
+        )
+        stay = np.flatnonzero(~joinable)
+        ours = np.flatnonzero(joinable)
+        pieces = _concat(_take(held, ours), other._held)
+        order = _stream_order(pieces)
+        flows, flow_of = _fuse(pieces, order, self.inactivity_timeout)
+        # New row of every piece and held row: staying rows, then flows.
+        new_row = np.empty(order.size, dtype=np.int64)
+        new_row[order] = flow_of + stay.size
+        row_of_ours = np.empty(held["end"].size, dtype=np.int64)
+        row_of_ours[stay] = np.arange(stay.size)
+        row_of_ours[ours] = new_row[:ours.size]
+        mine, theirs = self._segments, other._segments
+        # Our segments first, so a joined flow's bytes stay in order.
+        self._segments = _concat(
+            dict(mine, owner=row_of_ours[mine["owner"]]),
+            dict(theirs, owner=new_row[ours.size + theirs["owner"]],
+                 part=theirs["part"] + len(self._parts)),
+        )
+        self._parts = self._parts + other._parts
+        self._done = self._done + other._done
+        self._held = _concat(_take(held, stay), flows)
+        self._newest = other._newest
+        self._settle()
         return self
 
+    def _settle(self) -> None:
+        """Reduce every held flow that can no longer change.
+
+        Chunks are time-sorted and contiguous.  So a flow whose last event
+        is more than the timeout before the newest timestamp never grows,
+        and a flow of an accumulator merged in from the left (which ends
+        by our first event) can only join a flow that starts within the
+        timeout of our first event.
+        """
+        held = self._held
+        timeout = self.inactivity_timeout
+        keep = (self._newest - held["end"] <= timeout) | (
+            held["start"] - self._first <= timeout
+        )
+        if not keep.all():
+            done = _take(held, ~keep)
+            done["num_bytes"] = self._byte_totals(~keep)
+            self._done.append(done)
+            self._held = _take(held, keep)
+            segments = _take(self._segments, keep[self._segments["owner"]])
+            segments["owner"] = (np.cumsum(keep) - 1)[segments["owner"]]
+            self._segments = segments
+        # Compact to one part, one segment per flow, once the bytes of
+        # reduced flows plus the surplus segments (four words each)
+        # outweigh the live bytes; the copy is paid for by that growth.
+        segments, flows = self._segments["owner"].size, self._held["end"].size
+        live = int((self._segments["stop"] - self._segments["start"]).sum())
+        stored = sum(part.size for part in self._parts)
+        if stored - live + 4 * (segments - flows) > live:
+            flat, offsets = self._raw_bytes(np.ones(flows, dtype=bool))
+            self._parts = [flat] if flat.size else []
+            self._segments = _one_segment_each(offsets, flat.size)
+
+    def _raw_bytes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Raw bytes of the held flows in mask ``rows``, flow after flow,
+        and the offset of each flow's first byte."""
+        segments = self._segments
+        pick = np.flatnonzero(rows[segments["owner"]])
+        pick = pick[np.argsort(segments["owner"][pick], kind="stable")]
+        owner, part, start, stop = (
+            segments[name][pick] for name in ("owner", "part", "start", "stop")
+        )
+        lengths = stop - start
+        offsets = np.cumsum(lengths) - lengths
+        flat = np.empty(int(lengths.sum()))
+        for index in np.unique(part):
+            in_part = part == index
+            sizes = lengths[in_part]
+            run = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            flat[np.repeat(offsets[in_part], sizes) + run] = self._parts[index][
+                np.repeat(start[in_part], sizes) + run
+            ]
+        return flat, offsets[np.flatnonzero(np.diff(owner, prepend=-1))]
+
+    def _byte_totals(self, rows: np.ndarray) -> np.ndarray:
+        """Byte totals of the held flows in mask ``rows``.
+
+        ``np.add.reduceat`` reduces each flow from its own bytes alone,
+        the same reduction the in-memory path runs over the whole log, so
+        the totals are equal bit for bit (a running sum would not be).
+        """
+        flat, offsets = self._raw_bytes(rows)
+        if offsets.size == 0:
+            return np.empty(0)
+        return np.add.reduceat(flat, offsets)
+
     def finalize(self) -> FlowTable:
-        """The completed flow table; the accumulator must not be reused."""
-        src, src_port, dst, dst_port, protocol = [], [], [], [], []
-        start, end, num_bytes, num_events, job_id, phase = [], [], [], [], [], []
+        """The completed flow table; repeatable, the state is kept."""
+        held = dict(self._held)
+        held["num_bytes"] = self._byte_totals(
+            np.ones(held["end"].size, dtype=bool)
+        )
+        flows = _concat(*self._done, held)
         # Tuple-lexicographic order matches np.unique's row ordering in
-        # the in-memory path; flows within a tuple are in time order.
-        for key in sorted(self._tuples):
-            entry = self._tuples[key]
-            stream = entry.send if entry.send.flows else entry.recv
-            for flow in stream.flows:
-                src.append(key[0])
-                src_port.append(key[1])
-                dst.append(key[2])
-                dst_port.append(key[3])
-                protocol.append(key[4])
-                start.append(flow.start)
-                end.append(flow.end)
-                num_bytes.append(flow.byte_total())
-                num_events.append(flow.events)
-                job_id.append(flow.job_id)
-                phase.append(flow.phase_index)
+        # the in-memory path; flows within a stream are in time order.
+        order = np.lexsort([
+            flows["start"], *(flows[name] for name in reversed(_STREAM))
+        ])
+        flows = _take(flows, order)
+        new_tuple = np.zeros(order.size, dtype=bool)
+        new_tuple[:1] = True
+        for name in _TUPLE:
+            column = flows[name]
+            new_tuple[1:] |= column[1:] != column[:-1]
+        sends = flows["direction"] == DIRECTION_SEND
+        tuple_has_send = np.logical_or.reduceat(sends, np.flatnonzero(new_tuple))
+        flows = _take(flows, sends | ~tuple_has_send[np.cumsum(new_tuple) - 1])
         return FlowTable(
-            src=np.array(src, dtype=np.int64),
-            src_port=np.array(src_port, dtype=np.int64),
-            dst=np.array(dst, dtype=np.int64),
-            dst_port=np.array(dst_port, dtype=np.int64),
-            protocol=np.array(protocol, dtype=np.int16),
-            start_time=np.array(start, dtype=float),
-            end_time=np.array(end, dtype=float),
-            num_bytes=np.array(num_bytes, dtype=float),
-            num_events=np.array(num_events, dtype=np.int64),
-            job_id=np.array(job_id, dtype=np.int64),
-            phase_index=np.array(phase, dtype=np.int64),
+            src=flows["src"],
+            src_port=flows["src_port"],
+            dst=flows["dst"],
+            dst_port=flows["dst_port"],
+            protocol=flows["protocol"],
+            start_time=flows["start"],
+            end_time=flows["end"],
+            num_bytes=flows["num_bytes"],
+            num_events=flows["events"],
+            job_id=flows["job_id"],
+            phase_index=flows["phase_index"],
         )
 
 

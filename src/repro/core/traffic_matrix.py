@@ -120,12 +120,11 @@ def _event_contributions(
     direction = log.column("direction")
     src = log.column("src")
     # Prefer send side; external sources are only visible at receivers.
-    external_src = np.array([topology.is_external(int(s)) for s in np.unique(src)])
-    external_lookup = dict(zip(np.unique(src).tolist(), external_src.tolist()))
-    is_external_src = np.fromiter(
-        (external_lookup[int(s)] for s in src), dtype=bool, count=src.size
+    senders, sender_of = np.unique(src, return_inverse=True)
+    external = np.array(
+        [topology.is_external(int(s)) for s in senders], dtype=bool
     )
-    keep = (direction == DIRECTION_SEND) | is_external_src
+    keep = (direction == DIRECTION_SEND) | external[sender_of]
 
     times = log.column("timestamp")[keep]
     rows = index[src[keep]]

@@ -167,7 +167,13 @@ def analyze_trace(
     threshold: float | None = None,
     telemetry: Telemetry | None = None,
 ) -> TraceAnalysis:
-    """One streaming pass over a trace; constant memory per process.
+    """One streaming pass over a trace, reading one chunk at a time.
+
+    Flow reconstruction holds, besides the chunk, only the raw bytes of
+    flows active within the last ``inactivity_timeout`` and of flows that
+    began within ``inactivity_timeout`` of the first event; every other
+    flow is reduced to its total as it closes (see
+    :class:`~repro.core.streaming.StreamingFlows`).
 
     ``threshold`` defaults to the recorded config's congestion threshold.
     ``jobs > 1`` fans contiguous chunk ranges across ``spawn`` workers

@@ -67,19 +67,35 @@ def test_split_merge_tm_equals_one_shot(log, fraction):
 @given(
     log=event_logs(topology=_TOPOLOGY, max_transfers=8),
     pieces=st.integers(min_value=2, max_value=5),
+    timeout=st.sampled_from([60.0, 10.0, 1.0]),
+    data=st.data(),
 )
-def test_many_way_split_is_associative(log, pieces):
+def test_many_way_split_is_associative(log, pieces, timeout, data):
     columns = log.to_columns()
     n = len(log)
     bounds = [round(k * n / pieces) for k in range(pieces + 1)]
-    acc = StreamingFlows()
-    for k in range(pieces):
-        chunk = SocketEventLog.from_columns(
+    chunks = [
+        SocketEventLog.from_columns(
             {name: column[bounds[k]:bounds[k + 1]]
              for name, column in columns.items()}
         )
+        for k in range(pieces)
+    ]
+    expected = reconstruct_flows(log, inactivity_timeout=timeout)
+    acc = StreamingFlows(inactivity_timeout=timeout)
+    for chunk in chunks:
         acc.update(chunk)
-    assert _flow_tables_equal(acc.finalize(), reconstruct_flows(log))
+    assert _flow_tables_equal(acc.finalize(), expected)
+    # One accumulator per piece, merged pairwise in a drawn order of
+    # adjacent pairs: a right side's head flows must still join.
+    partials = [
+        StreamingFlows(inactivity_timeout=timeout).update(chunk)
+        for chunk in chunks
+    ]
+    while len(partials) > 1:
+        at = data.draw(st.integers(min_value=0, max_value=len(partials) - 2))
+        partials[at].merge(partials.pop(at + 1))
+    assert _flow_tables_equal(partials[0].finalize(), expected)
 
 
 def _two_burst_log(gap: float, t0: float = 5.0) -> SocketEventLog:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterSpec, ClusterTopology
+from repro.core import streaming
 from repro.core.congestion import congestion_summary
 from repro.core.flows import DEFAULT_INACTIVITY_TIMEOUT, reconstruct_flows
 from repro.core.streaming import (
@@ -64,6 +65,38 @@ def synthetic_log(num_events=400, seed=3, num_servers=8):
         )
     log.finalize()
     return log
+
+
+def short_flows_log(duration, seed=5, num_flows=300):
+    """Flows of 1-3 events within a second each, over ``duration`` s."""
+    rng = np.random.default_rng(seed)
+    log = SocketEventLog()
+    for flow in range(num_flows):
+        start = float(rng.uniform(0.0, duration - 1.0))
+        src = int(rng.integers(0, 8))
+        dst = (src + 1 + int(rng.integers(0, 7))) % 8
+        port = 30000 + flow % 200  # some tuples carry several flows
+        for k in range(int(rng.integers(1, 4))):
+            for direction, server in ((DIRECTION_SEND, src), (DIRECTION_RECV, dst)):
+                log.append(
+                    timestamp=start + 0.3 * k, server=server,
+                    direction=direction, src=src, src_port=port, dst=dst,
+                    dst_port=8400, protocol=6,
+                    num_bytes=float(rng.integers(1, 10_000)),
+                    job_id=1, phase_index=0,
+                )
+    log.finalize()
+    return log
+
+
+def held_raw_bytes(acc):
+    """Start, end and raw byte count of every flow ``acc`` holds."""
+    segments = acc._segments
+    raw = np.bincount(
+        segments["owner"], weights=segments["stop"] - segments["start"],
+        minlength=acc._held["end"].size,
+    )
+    return acc._held["start"], acc._held["end"], raw
 
 
 def split_log(log, boundaries):
@@ -159,6 +192,46 @@ class TestStreamingFlows:
         assert len(table) == 0
         assert table.protocol.dtype == np.int16
 
+    def test_held_bytes_stay_bounded(self):
+        # Short flows over 12 timeouts: after every chunk, only flows that
+        # may still change (active within the timeout, or begun within it
+        # of the first event) keep raw bytes, and dead bytes never
+        # outweigh live ones.
+        timeout = 5.0
+        log = short_flows_log(duration=12 * timeout)
+        first = float(log.column("timestamp")[0])
+        acc = StreamingFlows(inactivity_timeout=timeout)
+        edges = list(range(0, len(log), 37))
+        peak = 0
+        for chunk in split_log(log, edges[1:]):
+            acc.update(chunk)
+            newest = float(chunk.column("timestamp")[-1])
+            start, end, raw = held_raw_bytes(acc)
+            stale = (newest - end > timeout) & (start - first > timeout)
+            assert not raw[stale].any()
+            assert sum(part.size for part in acc._parts) <= 2 * raw.sum()
+            peak = max(peak, int(raw.sum()))
+        assert peak < len(log) / 4
+        expected = reconstruct_flows(log, inactivity_timeout=timeout)
+        assert_flow_tables_equal(acc.finalize(), expected)
+
+    def test_stream_hash_collisions_are_harmless(self, monkeypatch):
+        # The merge matches streams by hash first; if every stream
+        # collided, every open flow would be fused, to the same result.
+        monkeypatch.setattr(
+            streaming, "_stream_hash",
+            lambda table, rows=slice(None): np.zeros(
+                table["start"][rows].size, dtype=np.uint64
+            ),
+        )
+        log = synthetic_log(num_events=600, seed=9)
+        for timeout in (60.0, 5.0):
+            expected = reconstruct_flows(log, inactivity_timeout=timeout)
+            acc = StreamingFlows(inactivity_timeout=timeout)
+            for chunk in split_log(log, [100, 101, 250, 430]):
+                acc.update(chunk)
+            assert_flow_tables_equal(acc.finalize(), expected)
+
 
 class TestInactivityTimeoutBoundary:
     """Flow splitting at the inactivity timeout (satellite: boundary tests)."""
@@ -196,6 +269,30 @@ class TestInactivityTimeoutBoundary:
             for chunk in split_log(log, boundaries):
                 acc.update(chunk)
             assert_flow_tables_equal(acc.finalize(), expected)
+
+    @pytest.mark.parametrize("late, flows", [
+        (100.0 + DEFAULT_INACTIVITY_TIMEOUT, 1),
+        (np.nextafter(100.0 + DEFAULT_INACTIVITY_TIMEOUT, np.inf), 2),
+    ])
+    def test_close_rule_boundary_across_chunks(self, late, flows):
+        # The flow on port 50000 last sent at t=100 and is no head flow
+        # (the log starts at 0).  Another tuple's event ends chunk one at
+        # `late`, exactly 100 + timeout in the first case, so the flow
+        # must stay open for its next event at `late` in chunk two.
+        log = build_log([
+            {"timestamp": 0.0, "dst_port": 50001},
+            {"timestamp": 100.0},
+            {"timestamp": late, "dst_port": 50002},
+            {"timestamp": late},
+        ])
+        expected = reconstruct_flows(log)
+        assert np.sum(expected.dst_port == 50000) == flows
+        left, right = split_log(log, [3])
+        acc = StreamingFlows().update(left).update(right)
+        assert_flow_tables_equal(acc.finalize(), expected)
+        merged = StreamingFlows().update(left)
+        merged.merge(StreamingFlows().update(right))
+        assert_flow_tables_equal(merged.finalize(), expected)
 
     def test_merge_joins_flows_across_boundary_gap(self):
         # Two accumulators whose boundary flows are within the timeout
