@@ -9,9 +9,9 @@ The commands cover the library's workflow:
   (``--manifest-out``) pinning config, seed, git version and metrics;
 * ``trace`` — record a campaign's socket events to a chunked on-disk
   ``.reprotrace`` store (``record``), list/inspect traces (``ls``,
-  ``info``), and run the streaming analyses over one (``analyze``,
-  with ``--jobs`` fanning chunks across processes and ``--check``
-  asserting exact agreement with the in-memory pipeline);
+  ``info``), and run the streaming analyses over one in a single
+  in-process pass (``analyze``, with ``--check`` asserting exact
+  agreement with the in-memory pipeline);
 * ``figures`` — reproduce any subset of the paper's figures against a
   campaign (``--list`` enumerates the experiment registry);
 * ``ablations`` — run the registered design-choice ablations;
@@ -156,8 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_analyze = trace_sub.add_parser(
         "analyze", help="run the streaming analyses over a trace")
     trace_analyze.add_argument("trace", help="trace directory")
-    trace_analyze.add_argument("--jobs", type=int, default=1,
-                               help="worker processes (1 = in-process)")
     trace_analyze.add_argument("--window", type=float, default=10.0,
                                help="traffic-matrix window, seconds")
     trace_analyze.add_argument("--threshold", type=float, default=None,
@@ -890,14 +888,12 @@ def _cmd_trace_analyze(args: argparse.Namespace) -> int:
     tele = Telemetry()
     analysis = analyze_trace(
         args.trace,
-        jobs=args.jobs,
         window=args.window,
         inactivity_timeout=timeout,
         threshold=args.threshold,
         telemetry=tele,
     )
-    print(f"analyzed {analysis.rows} events in {analysis.chunks} chunk(s) "
-          f"with {analysis.jobs} job(s)")
+    print(f"analyzed {analysis.rows} events in {analysis.chunks} chunk(s)")
     for key, value in analysis.summary().items():
         if isinstance(value, float):
             print(f"  {key}: {value:.6g}")
@@ -914,7 +910,6 @@ def _cmd_trace_analyze(args: argparse.Namespace) -> int:
         checks = check_against_inmemory(
             args.trace, window=args.window,
             inactivity_timeout=timeout, threshold=args.threshold,
-            jobs=args.jobs,
         )
         for name, passed in checks.items():
             print(f"  check {name}: {'OK' if passed else 'MISMATCH'}")

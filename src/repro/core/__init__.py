@@ -8,9 +8,8 @@ victim-flow analysis for §4.2 (:mod:`~repro.core.congestion`),
 work-vs-network attribution (:mod:`~repro.core.attribution`), TM churn
 statistics for §4.5 (:mod:`~repro.core.change`), and the streaming
 variants of all of the above (:mod:`~repro.core.streaming`) whose
-``update``/``merge``/``finalize`` protocol produces results exactly
-equal to the in-memory pipeline — sequentially or fanned across
-processes.
+``update``/``finalize`` protocol produces results exactly equal to the
+in-memory pipeline.
 
 Each module mirrors one analysis of the paper; the experiments layer
 (:mod:`repro.experiments`) composes them into figures.

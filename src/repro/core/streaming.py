@@ -1,4 +1,4 @@
-"""Streaming, mergeable counterparts of the core analyses.
+"""Streaming counterparts of the core analyses.
 
 The paper's pipeline digested two months of socket logs that could never
 fit in memory; this module gives the reproduction the same property.
@@ -6,43 +6,36 @@ Each accumulator consumes a chunked trace one piece at a time under a
 small protocol:
 
 * ``update(chunk)`` — fold in the next *time-contiguous* chunk;
-* ``merge(other)`` — absorb an accumulator that processed the chunks
-  immediately following this one's (fan-out across processes, then a
-  left-to-right merge);
 * ``finalize()`` — produce the same result object as the in-memory
   analysis.
 
 Exactness, not approximation
 ----------------------------
-The accumulators are engineered so that streaming — sequential or
-parallel — reproduces the in-memory results *bit for bit*, which is what
-lets the test suite assert exact array equality instead of tolerances:
+The accumulators are engineered so that streaming reproduces the
+in-memory results *bit for bit*, which is what lets the test suite
+assert exact array equality instead of tolerances:
 
 * **Traffic matrix** — the in-memory path accumulates with a single
   ``np.add.at``, which applies additions in event order.  Per-chunk
-  ``np.add.at`` calls compose to the same per-cell addition order,
-  except in the one time window a chunk boundary can split.  Each
-  accumulator therefore keeps its *first* populated window's events raw
-  (unaggregated) until merge/finalize, so no cell sum is ever started
-  from zero twice.
+  ``np.add.at`` calls into the same matrix apply them in the same
+  order, so every cell sum is the same.
 * **Flows** — per-flow byte totals come from ``np.add.reduceat`` over
   the flow's complete event-byte segment on both paths (the reduction
   depends only on the segment's contents), so chunked reconstruction
   cannot drift.  A flow's raw bytes are therefore held while it can
   still change: while its last event is within the inactivity timeout
-  of the newest timestamp seen, or while it began within the timeout of
-  the accumulator's first event (a merge may join it onto a flow from
-  the left).  Every other flow is reduced at once, so memory follows the
-  chunk plus the bytes of those two sets of flows, not the trace.  The
-  send-side-preference rule — a global property of the log — is
-  resolved at finalize from per-direction flows.
+  of the newest timestamp seen.  Every other flow is reduced at once,
+  so memory follows the chunk plus the bytes of flows active within the
+  last timeout, not the trace.  The send-side-preference rule — a
+  global property of the log — is resolved at finalize from
+  per-direction flows.
 * **Congestion** — hot runs are tracked as absolute integer bin indices
-  and stitched across boundaries; times and durations are produced by
-  the same ``int * bin_width`` multiplications as
+  and stitched across slab boundaries; times and durations are produced
+  by the same ``int * bin_width`` multiplications as
   :func:`~repro.core.congestion.find_episodes`.
 
 :class:`FlowStatsSketch` aggregates integer histograms, exact under any
-merge order by construction.
+update order by construction.
 """
 
 from __future__ import annotations
@@ -80,11 +73,9 @@ __all__ = [
 class StreamingTrafficMatrix:
     """Chunk-at-a-time accumulation of :func:`tm_series_from_events`.
 
-    Feed time-contiguous chunks through :meth:`update`; :meth:`merge`
-    combines with an accumulator covering the immediately following
-    chunk range.  ``finalize()`` returns a
-    :class:`~repro.core.traffic_matrix.TrafficMatrixSeries` exactly equal
-    to the in-memory one.
+    Feed time-contiguous chunks through :meth:`update`; ``finalize()``
+    returns a :class:`~repro.core.traffic_matrix.TrafficMatrixSeries`
+    exactly equal to the in-memory one.
     """
 
     def __init__(
@@ -99,72 +90,20 @@ class StreamingTrafficMatrix:
         self.num_windows = int(np.ceil(duration / window))
         n = self._endpoints.size
         self._matrices = np.zeros((self.num_windows, n, n))
-        #: First populated window: its events stay raw until finalize so
-        #: a merge never restarts a cell sum mid-window (see module doc).
-        self._head_window: int | None = None
-        self._head_parts: list[tuple[np.ndarray, ...]] = []
-        self.rows_processed = 0
 
     def update(self, chunk) -> "StreamingTrafficMatrix":
         """Fold in the next time-contiguous chunk of events."""
         log = _resolve_event_log(chunk)
         if len(log) == 0:
             return self
-        self.rows_processed += len(log)
         window_ids, rows, cols, num_bytes = _event_contributions(
             log, self.topology, self._index, self.window, self.num_windows
         )
-        if window_ids.size == 0:
-            return self
-        if self._head_window is None:
-            self._head_window = int(window_ids[0])
-        # Chunks are time-sorted, so head-window events form a prefix.
-        head = window_ids == self._head_window
-        if head.any():
-            self._head_parts.append(
-                (window_ids[head], rows[head], cols[head], num_bytes[head])
-            )
-        rest = ~head
-        if rest.any():
-            np.add.at(
-                self._matrices,
-                (window_ids[rest], rows[rest], cols[rest]),
-                num_bytes[rest],
-            )
-        return self
-
-    def merge(self, other: "StreamingTrafficMatrix") -> "StreamingTrafficMatrix":
-        """Absorb an accumulator covering the following chunk range."""
-        if (
-            self.window != other.window
-            or self.num_windows != other.num_windows
-            or not np.array_equal(self._endpoints, other._endpoints)
-        ):
-            raise ValueError("cannot merge traffic matrices with different shapes")
-        self.rows_processed += other.rows_processed
-        if other._head_window is None:
-            return self
-        if self._head_window is None:
-            self._matrices += other._matrices
-            self._head_window = other._head_window
-            self._head_parts = list(other._head_parts)
-            return self
-        # ``other`` covers strictly later events: its flushed windows are
-        # disjoint from ours, so element-wise addition is exact (x + 0).
-        self._matrices += other._matrices
-        if other._head_window == self._head_window:
-            self._head_parts.extend(other._head_parts)
-        else:
-            for window_ids, rows, cols, num_bytes in other._head_parts:
-                np.add.at(self._matrices, (window_ids, rows, cols), num_bytes)
+        np.add.at(self._matrices, (window_ids, rows, cols), num_bytes)
         return self
 
     def finalize(self) -> TrafficMatrixSeries:
         """The completed series; the accumulator must not be reused."""
-        for window_ids, rows, cols, num_bytes in self._head_parts:
-            np.add.at(self._matrices, (window_ids, rows, cols), num_bytes)
-        self._head_parts = []
-        self._head_window = None
         return TrafficMatrixSeries(self._matrices, self.window, self._endpoints)
 
 
@@ -211,7 +150,7 @@ def _one_segment_each(offsets: np.ndarray, size: int) -> dict:
         "owner": np.arange(offsets.size),
         "part": np.zeros(offsets.size, dtype=np.int64),
         "start": offsets,
-        "stop": np.append(offsets[1:], size),
+        "stop": np.append(offsets, size)[1:],
     }
 
 
@@ -257,14 +196,12 @@ class StreamingFlows:
     """Chunk-at-a-time flow reconstruction (see :func:`reconstruct_flows`).
 
     State is columnar, one row per flow.  A flow is *held* with its raw
-    event bytes while it can still change: while its last event is within
-    the timeout of the newest timestamp seen (a later event may extend
-    it), or while it began within the timeout of this accumulator's first
-    event (an accumulator merged in from the left may join onto it).
-    Every other flow is reduced to its byte total at once.  Held bytes
-    stay in per-chunk ``parts`` arrays, located through a segment table,
-    so a chunk does not copy the bytes held before it; they are copied
-    together only once dead bytes and segments outweigh them.
+    event bytes while its last event is within the timeout of the newest
+    timestamp seen, since a later event may extend it.  Every other flow
+    is reduced to its byte total at once.  Held bytes stay in per-chunk
+    ``parts`` arrays, located through a segment table, so a chunk does
+    not copy the bytes held before it; they are copied together only
+    once dead bytes and segments outweigh them.
 
     The send-side-preference rule — receive events count only for tuples
     with *no* send events anywhere in the log — is global, so both
@@ -278,9 +215,8 @@ class StreamingFlows:
         if inactivity_timeout <= 0:
             raise ValueError("inactivity_timeout must be positive")
         self.inactivity_timeout = inactivity_timeout
-        self.rows_processed = 0
-        self._first: float | None = None
-        self._newest: float | None = None
+        #: Newest timestamp folded in.
+        self._newest = -np.inf
         #: Flows that may still change; each stream's rows in time order.
         self._held = _empty_flows()
         self._segments = _one_segment_each(np.empty(0, dtype=np.int64), 0)
@@ -293,14 +229,14 @@ class StreamingFlows:
         log = _resolve_event_log(chunk)
         if len(log) == 0:
             return self
-        return self.merge(self._from_events(log))
+        self._fold(self._from_events(log))
+        return self
 
     def _from_events(self, log: SocketEventLog) -> "StreamingFlows":
         """A settled accumulator over one chunk alone."""
         acc = StreamingFlows(self.inactivity_timeout)
-        acc.rows_processed = len(log)
         times = log.column("timestamp")
-        acc._first, acc._newest = float(times[0]), float(times[-1])
+        acc._newest = float(times[-1])
         events = {
             name: log.column(name)
             for name in (*_STREAM, "job_id", "phase_index")
@@ -312,32 +248,22 @@ class StreamingFlows:
         heads = np.flatnonzero(np.diff(flow_of, prepend=-1))
         acc._parts = [log.column("num_bytes")[order]]
         acc._segments = _one_segment_each(heads, times.size)
-        acc._settle()
+        acc._settle(first=float(times[0]))
         return acc
 
-    def merge(self, other: "StreamingFlows") -> "StreamingFlows":
-        """Absorb an accumulator covering the following chunk range."""
-        if self.inactivity_timeout != other.inactivity_timeout:
-            raise ValueError("cannot merge flows with different timeouts")
-        self.rows_processed += other.rows_processed
-        if other._first is None:
-            return self
-        if self._first is None:
-            self._first, self._newest = other._first, other._newest
-            self._held, self._segments = other._held, other._segments
-            self._parts, self._done = list(other._parts), list(other._done)
-            return self
+    def _fold(self, chunk: "StreamingFlows") -> None:
+        """Join the settled accumulator of the next chunk onto ours."""
         # Only our flows still open at our newest event, of streams that
-        # ``other`` holds flows of, can join onto its flows.  A hash
+        # ``chunk`` holds flows of, can join onto its flows.  A hash
         # collision only admits a flow that then fuses with nothing.
         held = self._held
         joinable = self._newest - held["end"] <= self.inactivity_timeout
         joinable[joinable] = np.isin(
-            _stream_hash(held, joinable), _stream_hash(other._held)
+            _stream_hash(held, joinable), _stream_hash(chunk._held)
         )
         stay = np.flatnonzero(~joinable)
         ours = np.flatnonzero(joinable)
-        pieces = _concat(_take(held, ours), other._held)
+        pieces = _concat(_take(held, ours), chunk._held)
         order = _stream_order(pieces)
         flows, flow_of = _fuse(pieces, order, self.inactivity_timeout)
         # New row of every piece and held row: staying rows, then flows.
@@ -346,34 +272,33 @@ class StreamingFlows:
         row_of_ours = np.empty(held["end"].size, dtype=np.int64)
         row_of_ours[stay] = np.arange(stay.size)
         row_of_ours[ours] = new_row[:ours.size]
-        mine, theirs = self._segments, other._segments
+        mine, theirs = self._segments, chunk._segments
         # Our segments first, so a joined flow's bytes stay in order.
         self._segments = _concat(
             dict(mine, owner=row_of_ours[mine["owner"]]),
             dict(theirs, owner=new_row[ours.size + theirs["owner"]],
                  part=theirs["part"] + len(self._parts)),
         )
-        self._parts = self._parts + other._parts
-        self._done = self._done + other._done
+        self._parts += chunk._parts
+        self._done += chunk._done
         self._held = _concat(_take(held, stay), flows)
-        self._newest = other._newest
+        self._newest = chunk._newest
         self._settle()
-        return self
 
-    def _settle(self) -> None:
+    def _settle(self, first: float | None = None) -> None:
         """Reduce every held flow that can no longer change.
 
-        Chunks are time-sorted and contiguous.  So a flow whose last event
-        is more than the timeout before the newest timestamp never grows,
-        and a flow of an accumulator merged in from the left (which ends
-        by our first event) can only join a flow that starts within the
-        timeout of our first event.
+        Chunks are time-sorted and contiguous, so a flow whose last event
+        is more than the timeout before the newest timestamp never grows.
+        A chunk not yet folded in passes its first timestamp as ``first``:
+        its flows that start within the timeout of it may still join a
+        held flow, so they stay raw as well.
         """
         held = self._held
         timeout = self.inactivity_timeout
-        keep = (self._newest - held["end"] <= timeout) | (
-            held["start"] - self._first <= timeout
-        )
+        keep = self._newest - held["end"] <= timeout
+        if first is not None:
+            keep |= held["start"] - first <= timeout
         if not keep.all():
             done = _take(held, ~keep)
             done["num_bytes"] = self._byte_totals(~keep)
@@ -468,9 +393,9 @@ class StreamingFlows:
 class StreamingCongestion:
     """Chunk-at-a-time congestion episodes over utilisation bin columns.
 
-    ``update`` takes a ``(num_links, bins)`` slab of consecutive
-    utilisation bins; runs of hot bins are tracked as absolute integer
-    bin indices and stitched across slab (and merge) boundaries, so
+    ``update`` takes a ``(num_links, bins)`` slab of the utilisation bins
+    that follow the previous slab; runs of hot bins are tracked as
+    absolute integer bin indices and stitched across slab boundaries, so
     ``finalize()`` equals :func:`~repro.core.congestion.congestion_summary`
     on the full matrix exactly.
     """
@@ -493,25 +418,16 @@ class StreamingCongestion:
         self.link_ids = np.asarray(ids)
         #: Per link: half-open ``[start, end)`` runs in absolute bins.
         self._runs: list[list[list[int]]] = [[] for _ in range(num_links)]
-        self._first_bin: int | None = None
-        self._next_bin: int | None = None
+        #: Absolute index of the first bin of the next slab.
+        self._next_bin = 0
 
-    def update(self, utilization: np.ndarray, start_bin: int | None = None):
+    def update(self, utilization: np.ndarray) -> "StreamingCongestion":
         """Fold in the next consecutive block of utilisation bins."""
         util = np.asarray(utilization, dtype=float)
         if util.ndim != 2 or util.shape[0] != self.num_links:
             raise ValueError(
                 f"expected a ({self.num_links}, bins) matrix, got {util.shape}"
             )
-        if start_bin is None:
-            start_bin = self._next_bin if self._next_bin is not None else 0
-        if self._next_bin is not None and start_bin != self._next_bin:
-            raise ValueError(
-                f"non-contiguous update: expected bin {self._next_bin}, "
-                f"got {start_bin}"
-            )
-        if self._next_bin is None:
-            self._first_bin = start_bin
         hot = hot_matrix(util, self.threshold)
         for row in range(self.num_links):
             series = hot[row]
@@ -519,48 +435,15 @@ class StreamingCongestion:
                 continue
             padded = np.concatenate(([False], series, [False]))
             changes = np.diff(padded.astype(np.int8))
-            starts = np.flatnonzero(changes == 1) + start_bin
-            ends = np.flatnonzero(changes == -1) + start_bin
+            starts = np.flatnonzero(changes == 1) + self._next_bin
+            ends = np.flatnonzero(changes == -1) + self._next_bin
             runs = self._runs[row]
             for s, e in zip(starts, ends):
                 if runs and runs[-1][1] == s:
                     runs[-1][1] = int(e)  # hot across the slab boundary
                 else:
                     runs.append([int(s), int(e)])
-        self._next_bin = start_bin + util.shape[1]
-        return self
-
-    def merge(self, other: "StreamingCongestion") -> "StreamingCongestion":
-        """Absorb an accumulator covering the following bin range."""
-        if (
-            self.num_links != other.num_links
-            or self.threshold != other.threshold
-            or self.bin_width != other.bin_width
-            or not np.array_equal(self.link_ids, other.link_ids)
-        ):
-            raise ValueError("cannot merge congestion trackers with different setups")
-        if other._next_bin is None:
-            return self
-        if self._next_bin is None:
-            self._runs = other._runs
-            self._first_bin = other._first_bin
-            self._next_bin = other._next_bin
-            return self
-        if other._first_bin != self._next_bin:
-            raise ValueError(
-                f"non-contiguous merge: expected bin {self._next_bin}, "
-                f"got {other._first_bin}"
-            )
-        for row in range(self.num_links):
-            theirs = other._runs[row]
-            if not theirs:
-                continue
-            runs = self._runs[row]
-            if runs and runs[-1][1] == theirs[0][0]:
-                runs[-1][1] = theirs[0][1]
-                theirs = theirs[1:]
-            runs.extend(theirs)
-        self._next_bin = other._next_bin
+        self._next_bin += util.shape[1]
         return self
 
     def finalize(self) -> CongestionSummary:
@@ -581,11 +464,11 @@ class StreamingCongestion:
 
 
 class FlowStatsSketch:
-    """Mergeable histograms of flow sizes, durations and event counts.
+    """Histograms of flow sizes, durations and event counts.
 
     Counts are integers over fixed log-spaced bin edges, so any update
-    and merge order yields identical histograms; ``total_bytes`` is a
-    float running sum and therefore exact only up to addition order.
+    order yields identical histograms; ``total_bytes`` is a float running
+    sum and therefore exact only up to addition order.
     """
 
     def __init__(
@@ -644,20 +527,6 @@ class FlowStatsSketch:
         ):
             bins = np.searchsorted(edges, values, side="right")
             counts += np.bincount(bins, minlength=counts.size)
-        return self
-
-    def merge(self, other: "FlowStatsSketch") -> "FlowStatsSketch":
-        """Add another sketch's counts (bin edges must match)."""
-        for (name, edges, counts), (_, other_edges, other_counts) in zip(
-            self._dimensions(), other._dimensions()
-        ):
-            if not np.array_equal(edges, other_edges):
-                raise ValueError(f"cannot merge sketches: {name} edges differ")
-            counts += other_counts
-        self.flows += other.flows
-        self.total_bytes += other.total_bytes
-        self.max_bytes = max(self.max_bytes, other.max_bytes)
-        self.max_duration = max(self.max_duration, other.max_duration)
         return self
 
     def approx_quantile(self, dimension: str, q: float) -> float:

@@ -267,41 +267,39 @@ def build_dataset(
 def dataset_from_trace(
     path,
     telemetry: Telemetry | None = None,
-    jobs: int = 1,
 ) -> ExperimentDataset:
     """Build an :class:`ExperimentDataset` from a recorded trace.
 
     The flows, TM series and utilisation come from one streaming pass
-    (:func:`~repro.trace.analyze.analyze_trace`; ``jobs > 1`` fans the
-    chunks across processes), so they equal what :func:`build_dataset`
-    computes for the same campaign — without ever materialising the
-    event log.  The embedded :class:`SimulationResult` is a shell: the
-    socket log is empty (it lives on disk), the transfer list and
-    application log were not persisted, and the workload config carries
-    only the recorded ``day_length`` — the manifest's
-    ``config_fingerprint`` is the full-config provenance.
+    (:func:`~repro.trace.analyze.analyze_trace`), so they equal what
+    :func:`build_dataset` computes for the same campaign — without ever
+    materialising the event log.  The topology is rebuilt the way that
+    pass rebuilds it, so every trace it reads loads here too.  The
+    embedded :class:`SimulationResult` is a shell: the socket log is
+    empty (it lives on disk), the transfer list and application log were
+    not persisted, and the workload config carries only the recorded
+    ``day_length`` — the manifest's ``config_fingerprint`` is the
+    full-config provenance.
     """
     from ..cluster.routing import Router
-    from ..cluster.topology import ClusterTopology
     from ..instrumentation.applog import ApplicationLog
     from ..instrumentation.events import SocketEventLog
-    from ..trace.analyze import analyze_trace
+    from ..trace.analyze import _topology_from_meta, analyze_trace
     from ..trace.reader import TraceReader
 
     tele = telemetry or NULL_TELEMETRY
     reader = TraceReader(path)
     meta = reader.meta
-    spec = ClusterSpec(**meta["cluster_spec"])
-    topology = ClusterTopology(spec)
+    topology = _topology_from_meta(meta)
     duration = float(meta.get("duration", reader.time_span()[1]))
     config = SimulationConfig(
-        cluster=spec,
+        cluster=topology.spec,
         workload=WorkloadConfig(day_length=float(meta.get("day_length", 300.0))),
         duration=duration,
         seed=int(meta.get("seed", 0)),
     )
     with tele.span("dataset_from_trace", path=str(path), rows=reader.total_rows):
-        analysis = analyze_trace(path, jobs=jobs, window=10.0, telemetry=telemetry)
+        analysis = analyze_trace(path, window=10.0, telemetry=telemetry)
         loads = reader.linkloads()
         if loads is None:
             raise ValueError(f"trace has no recorded link loads: {path}")

@@ -11,8 +11,8 @@ same shape:
   and lazy chunk iteration;
 * :func:`~repro.trace.record.record_trace` — simulate while streaming
   events to disk (constant memory, bit-identical to an in-memory run);
-* :func:`~repro.trace.analyze.analyze_trace` — one streaming pass of the
-  mergeable core accumulators, sequential or fanned across processes.
+* :func:`~repro.trace.analyze.analyze_trace` — one in-process streaming
+  pass of the core accumulators.
 """
 
 from .analyze import TraceAnalysis, analyze_trace, check_against_inmemory

@@ -1,25 +1,19 @@
-"""Streaming analysis of recorded traces — sequential or fanned out.
+"""Streaming analysis of recorded traces, one chunk at a time.
 
-``analyze_trace`` runs the three mergeable core accumulators
+``analyze_trace`` runs the three core accumulators
 (:class:`~repro.core.streaming.StreamingTrafficMatrix`,
 :class:`~repro.core.streaming.StreamingFlows`,
-:class:`~repro.core.streaming.StreamingCongestion`) over a trace one
-chunk at a time.  With ``jobs > 1`` the chunk (and utilisation-bin)
-ranges are partitioned contiguously across the ``spawn`` workers of a
-:class:`~concurrent.futures.ProcessPoolExecutor` created for the call,
-and the partial accumulators are merged left to right, which by
-construction yields the identical result.  On a 2-vCPU host ``jobs=2``
-measured slower than ``jobs=1`` on every trace tried (README, "Recording
-and analyzing traces").  A :class:`~repro.core.streaming.FlowStatsSketch`
-is folded over the final flow table either way.
+:class:`~repro.core.streaming.StreamingCongestion`) over a trace in one
+in-process pass and folds a
+:class:`~repro.core.streaming.FlowStatsSketch` over the final flow
+table.  Fanning chunk ranges across worker processes measured slower
+than this pass on every trace tried on a 2-vCPU host (README,
+"Recording and analyzing traces").
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -49,7 +43,6 @@ class TraceAnalysis:
     path: str
     rows: int
     chunks: int
-    jobs: int
     flows: FlowTable
     tm: TrafficMatrixSeries
     congestion: CongestionSummary | None
@@ -60,7 +53,9 @@ class TraceAnalysis:
         out = {
             "rows": self.rows,
             "chunks": self.chunks,
-            "jobs": self.jobs,
+            # The pass always runs in-process; pinned digests of this
+            # summary still include the key.
+            "jobs": 1,
             "num_flows": len(self.flows),
             "flow_bytes": float(self.flows.num_bytes.sum()) if len(self.flows) else 0.0,
             "tm_windows": self.tm.num_windows,
@@ -99,64 +94,29 @@ def _duration_from(reader: TraceReader) -> float:
     return max(reader.time_span()[1], 1.0)
 
 
-def _make_accumulators(
-    reader: TraceReader,
-    window: float,
-    timeout: float,
-    threshold: float | None,
-) -> tuple[StreamingTrafficMatrix, StreamingFlows, StreamingCongestion | None]:
-    topology = _topology_from_meta(reader.meta)
-    tm = StreamingTrafficMatrix(topology, window, _duration_from(reader))
-    flows = StreamingFlows(inactivity_timeout=timeout)
+def _threshold_from(reader: TraceReader, threshold: float | None) -> float:
+    """``threshold``, or the recorded config's when it is ``None``."""
+    if threshold is not None:
+        return threshold
+    return float(reader.meta.get("congestion_threshold", DEFAULT_THRESHOLD))
+
+
+def _congestion_pass(
+    reader: TraceReader, threshold: float | None
+) -> StreamingCongestion | None:
+    """Congestion episodes over the link-load sidecar, or ``None`` for a
+    trace recorded without one.  The sidecar loads whole, once, and is
+    released before the chunks are read."""
     loads = reader.linkloads()
-    congestion = None
-    if loads is not None:
-        if threshold is None:
-            threshold = float(
-                reader.meta.get("congestion_threshold", DEFAULT_THRESHOLD)
-            )
-        observed = loads.observed_links
-        congestion = StreamingCongestion(
-            num_links=observed.size,
-            threshold=threshold,
-            bin_width=loads.bin_width,
-            link_ids=observed,
-        )
-    return tm, flows, congestion
-
-
-def _analyze_range(payload: tuple) -> tuple:
-    """Worker: accumulate one contiguous chunk range (and bin range).
-
-    Top-level so ``spawn`` workers can pickle it; returns the partial
-    accumulators for an in-order merge.
-    """
-    path, chunk_start, chunk_stop, bin_start, bin_stop, window, timeout, threshold = (
-        payload
-    )
-    reader = TraceReader(path)
-    tm, flows, congestion = _make_accumulators(reader, window, timeout, threshold)
-    for log in reader.iter_chunks(chunk_start, chunk_stop):
-        tm.update(log)
-        flows.update(log)
-    if congestion is not None:
-        loads = reader.linkloads()
-        observed = loads.utilization_matrix()[loads.observed_links]
-        congestion.update(observed[:, bin_start:bin_stop], start_bin=bin_start)
-    return tm, flows, congestion
-
-
-def _ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split ``range(total)`` into ``parts`` contiguous, covering ranges."""
-    parts = max(1, parts)
-    size = math.ceil(total / parts) if total else 0
-    out = []
-    start = 0
-    for _ in range(parts):
-        stop = min(total, start + size)
-        out.append((start, stop))
-        start = stop
-    return out
+    if loads is None:
+        return None
+    observed = loads.observed_links
+    return StreamingCongestion(
+        num_links=observed.size,
+        threshold=_threshold_from(reader, threshold),
+        bin_width=loads.bin_width,
+        link_ids=observed,
+    ).update(loads.utilization_matrix()[observed])
 
 
 def analyze_trace(
@@ -167,67 +127,38 @@ def analyze_trace(
     threshold: float | None = None,
     telemetry: Telemetry | None = None,
 ) -> TraceAnalysis:
-    """One streaming pass over a trace, reading one chunk at a time.
+    """One in-process streaming pass over a trace, one chunk at a time.
 
     Flow reconstruction holds, besides the chunk, only the raw bytes of
-    flows active within the last ``inactivity_timeout`` and of flows that
-    began within ``inactivity_timeout`` of the first event; every other
+    flows active within the last ``inactivity_timeout``; every other
     flow is reduced to its total as it closes (see
-    :class:`~repro.core.streaming.StreamingFlows`).
+    :class:`~repro.core.streaming.StreamingFlows`).  The congestion pass
+    loads the link-load sidecar whole, once.
 
     ``threshold`` defaults to the recorded config's congestion threshold.
-    ``jobs > 1`` fans contiguous chunk ranges across ``spawn`` workers
-    and merges the partial accumulators in order — the result is
-    identical to the sequential pass.
+    ``jobs`` must be 1: the pass always runs in this process.
     """
+    if jobs != 1:
+        raise ValueError(f"analyze_trace runs in one process; got jobs={jobs}")
     tele = telemetry or NULL_TELEMETRY
     reader = TraceReader(path)
     with tele.span(
-        "trace.analyze", chunks=reader.num_chunks, rows=reader.total_rows, jobs=jobs
+        "trace.analyze", chunks=reader.num_chunks, rows=reader.total_rows
     ):
-        if jobs <= 1 or reader.num_chunks <= 1:
-            tm, flows, congestion = _make_accumulators(
-                reader, window, inactivity_timeout, threshold
-            )
-            for log in reader.iter_chunks(telemetry=tele):
-                tm.update(log)
-                flows.update(log)
-            if congestion is not None:
-                loads = reader.linkloads()
-                observed = loads.utilization_matrix()[loads.observed_links]
-                congestion.update(observed)
-            effective_jobs = 1
-        else:
-            effective_jobs = min(jobs, reader.num_chunks)
-            chunk_ranges = _ranges(reader.num_chunks, effective_jobs)
-            loads = reader.linkloads()
-            num_bins = loads.num_bins if loads is not None else 0
-            bin_ranges = _ranges(num_bins, effective_jobs)
-            payloads = [
-                (
-                    str(path), cs, ce, bs, be,
-                    window, inactivity_timeout, threshold,
-                )
-                for (cs, ce), (bs, be) in zip(chunk_ranges, bin_ranges)
-            ]
-            context = get_context("spawn")
-            with ProcessPoolExecutor(
-                max_workers=effective_jobs, mp_context=context
-            ) as pool:
-                partials = list(pool.map(_analyze_range, payloads))
-            tm, flows, congestion = partials[0]
-            for other_tm, other_flows, other_congestion in partials[1:]:
-                tm.merge(other_tm)
-                flows.merge(other_flows)
-                if congestion is not None:
-                    congestion.merge(other_congestion)
+        congestion = _congestion_pass(reader, threshold)
+        tm = StreamingTrafficMatrix(
+            _topology_from_meta(reader.meta), window, _duration_from(reader)
+        )
+        flows = StreamingFlows(inactivity_timeout=inactivity_timeout)
+        for log in reader.iter_chunks(telemetry=tele):
+            tm.update(log)
+            flows.update(log)
         flow_table = flows.finalize()
         sketch = FlowStatsSketch().update(flow_table)
         return TraceAnalysis(
             path=str(path),
             rows=reader.total_rows,
             chunks=reader.num_chunks,
-            jobs=effective_jobs,
             flows=flow_table,
             tm=tm.finalize(),
             congestion=congestion.finalize() if congestion is not None else None,
@@ -240,7 +171,6 @@ def check_against_inmemory(
     window: float = DEFAULT_TM_WINDOW,
     inactivity_timeout: float = DEFAULT_INACTIVITY_TIMEOUT,
     threshold: float | None = None,
-    jobs: int = 1,
 ) -> dict:
     """Exact-equality comparison of streamed vs in-memory analyses.
 
@@ -255,7 +185,7 @@ def check_against_inmemory(
 
     reader = TraceReader(path)
     streamed = analyze_trace(
-        path, jobs=jobs, window=window,
+        path, window=window,
         inactivity_timeout=inactivity_timeout, threshold=threshold,
     )
     log = reader.read_all()
@@ -271,14 +201,9 @@ def check_against_inmemory(
     }
     loads = reader.linkloads()
     if loads is not None:
-        resolved = threshold
-        if resolved is None:
-            resolved = float(
-                reader.meta.get("congestion_threshold", DEFAULT_THRESHOLD)
-            )
         observed = loads.utilization_matrix()[loads.observed_links]
         summary = congestion_summary(
-            observed, threshold=resolved,
+            observed, threshold=_threshold_from(reader, threshold),
             bin_width=loads.bin_width, link_ids=loads.observed_links,
         )
         checks["congestion_equal"] = bool(

@@ -162,15 +162,11 @@ class TraceReader:
         return SocketEventLog.from_columns(self.chunk_columns(index))
 
     def iter_chunks(
-        self,
-        start: int = 0,
-        stop: int | None = None,
-        telemetry: Telemetry | None = None,
+        self, telemetry: Telemetry | None = None
     ) -> Iterator[SocketEventLog]:
-        """Yield chunk logs lazily over ``[start, stop)``."""
+        """Yield chunk logs lazily, in order."""
         tele = telemetry or NULL_TELEMETRY
-        stop = self.num_chunks if stop is None else stop
-        for index in range(start, stop):
+        for index in range(self.num_chunks):
             with tele.span(
                 "trace.read_chunk", index=index, rows=self.chunks[index]["rows"]
             ):

@@ -488,8 +488,8 @@ def check_trace_roundtrip(ctx) -> list[Violation]:
     requires=("log", "topology", "duration"),
 )
 def check_streaming_equal(ctx) -> list[Violation]:
-    """Chunked streaming accumulation (update + merge) reproduces the
-    in-memory flows, TM and congestion summary bit for bit."""
+    """Chunk-by-chunk streaming accumulation reproduces the in-memory
+    flows, TM and congestion summary bit for bit."""
     from ..core.streaming import (
         StreamingCongestion,
         StreamingFlows,
@@ -502,8 +502,8 @@ def check_streaming_equal(ctx) -> list[Violation]:
     log = ctx.log
     columns = log.to_columns()
     n = len(log)
-    # Four time-contiguous chunks, fanned over two accumulators that are
-    # merged left-to-right — the exact shape `trace analyze --jobs` uses.
+    # Four time-contiguous chunks, folded in one after another the way
+    # `analyze_trace` reads a trace.
     bounds = [0, n // 4, n // 2, (3 * n) // 4, n]
     chunks = [
         SocketEventLog.from_columns(
@@ -512,17 +512,13 @@ def check_streaming_equal(ctx) -> list[Violation]:
         )
         for k in range(4)
     ]
-    topology = ctx.topology
 
-    def fan(make):
-        left, right = make(), make()
-        for chunk in chunks[:2]:
-            left.update(chunk)
-        for chunk in chunks[2:]:
-            right.update(chunk)
-        return left.merge(right).finalize()
+    def stream(acc):
+        for chunk in chunks:
+            acc.update(chunk)
+        return acc.finalize()
 
-    tm = fan(lambda: StreamingTrafficMatrix(topology, ctx.window, ctx.duration))
+    tm = stream(StreamingTrafficMatrix(ctx.topology, ctx.window, ctx.duration))
     if not (
         np.array_equal(tm.matrices, ctx.tm.matrices)
         and np.array_equal(tm.endpoint_ids, ctx.tm.endpoint_ids)
@@ -530,9 +526,7 @@ def check_streaming_equal(ctx) -> list[Violation]:
         violations.append(make_violation(
             "analysis.streaming_equal", "streaming TM != in-memory TM",
         ))
-    flows = fan(
-        lambda: StreamingFlows(inactivity_timeout=ctx.inactivity_timeout)
-    )
+    flows = stream(StreamingFlows(inactivity_timeout=ctx.inactivity_timeout))
     if not _flow_tables_equal(flows, ctx.flows):
         violations.append(make_violation(
             "analysis.streaming_equal", "streaming flows != in-memory flows",
@@ -541,16 +535,12 @@ def check_streaming_equal(ctx) -> list[Violation]:
         loads = ctx.link_loads
         observed = ctx.observed_links
         utilization = loads.utilization_matrix()[observed]
+        # Two consecutive slabs, so a hot run can cross their boundary.
         split = utilization.shape[1] // 2
-        left = StreamingCongestion(
+        streamed = StreamingCongestion(
             num_links=observed.size, threshold=ctx.threshold,
             bin_width=loads.bin_width, link_ids=observed,
-        ).update(utilization[:, :split])
-        right = StreamingCongestion(
-            num_links=observed.size, threshold=ctx.threshold,
-            bin_width=loads.bin_width, link_ids=observed,
-        ).update(utilization[:, split:], start_bin=split)
-        streamed = left.merge(right).finalize()
+        ).update(utilization[:, :split]).update(utilization[:, split:]).finalize()
         reference = ctx.congestion
         if not (
             streamed.episodes == reference.episodes

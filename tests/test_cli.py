@@ -248,27 +248,3 @@ class TestCache:
 
         assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
         assert "removed 1 cached dataset(s)" in capsys.readouterr().out
-
-
-class TestTraceAnalyze:
-    def test_check_compares_the_pass_it_prints(self, capsys, monkeypatch,
-                                               recorded_trace):
-        # `--jobs 2 --check` must check a merged (parallel) pass, not a
-        # sequential re-run: record the jobs of every analysis pass.
-        import repro.trace
-        import repro.trace.analyze as analyze_module
-
-        real = analyze_module.analyze_trace
-        passes = []
-
-        def spy(path, jobs=1, **kwargs):
-            passes.append(jobs)
-            return real(path, jobs=jobs, **kwargs)
-
-        monkeypatch.setattr(analyze_module, "analyze_trace", spy)
-        monkeypatch.setattr(repro.trace, "analyze_trace", spy)
-        code = main(["trace", "analyze", str(recorded_trace), "--jobs", "2",
-                     "--timeout", "1", "--check"])
-        assert code == 0
-        assert "check all_equal: OK" in capsys.readouterr().out
-        assert passes == [2, 2]

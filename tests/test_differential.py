@@ -64,10 +64,8 @@ def test_three_paths_agree(index, config, tmp_path, assert_invariants):
         result.socket_log
     )
 
-    # Path 2: streaming analysis over the recorded trace (two jobs when
-    # there is more than one chunk, so the merge path runs too).
-    jobs = 2 if len(record.manifest["chunks"]) > 1 else 1
-    analysis = analyze_trace(trace_path, jobs=jobs, window=10.0)
+    # Path 2: streaming analysis over the recorded trace.
+    analysis = analyze_trace(trace_path, window=10.0)
     assert _flow_tables_equal(analysis.flows, flows_mem)
     assert np.array_equal(analysis.tm.matrices, tm_mem.matrices)
 
@@ -170,7 +168,7 @@ def test_fabric_three_paths_agree(config, tmp_path, assert_invariants):
         result.socket_log
     )
 
-    analysis = analyze_trace(trace_path, jobs=1, window=10.0)
+    analysis = analyze_trace(trace_path, window=10.0)
     assert _flow_tables_equal(analysis.flows, flows_mem)
 
     dataset = dataset_from_trace(trace_path)

@@ -1,10 +1,10 @@
 """Property tests for flow reconstruction and streaming equivalence.
 
 Hypothesis generates structurally valid event logs (``strategies.py``);
-the properties assert the algebraic contracts the streaming layer is
-built on: splitting a log anywhere and merging the partial states equals
-the one-shot analysis, and the inactivity timeout splits flows exactly
-at gaps strictly longer than the timeout.
+the properties assert the contracts the streaming layer is built on:
+splitting a log anywhere and streaming the pieces in order equals the
+one-shot analysis, and the inactivity timeout splits flows exactly at
+gaps strictly longer than the timeout.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ def _split_rows(log: SocketEventLog, at: int) -> tuple[SocketEventLog, SocketEve
 def test_split_merge_flows_equals_one_shot(log, fraction):
     at = int(round(fraction * len(log)))
     head, tail = _split_rows(log, at)
-    left = StreamingFlows().update(head)
-    right = StreamingFlows().update(tail)
-    merged = left.merge(right).finalize()
-    assert _flow_tables_equal(merged, reconstruct_flows(log))
+    streamed = StreamingFlows().update(head).update(tail).finalize()
+    assert _flow_tables_equal(streamed, reconstruct_flows(log))
 
 
 @given(
@@ -57,20 +55,21 @@ def test_split_merge_tm_equals_one_shot(log, fraction):
     duration = 100.0
     at = int(round(fraction * len(log)))
     head, tail = _split_rows(log, at)
-    make = lambda: StreamingTrafficMatrix(_TOPOLOGY, 10.0, duration)
-    merged = make().update(head).merge(make().update(tail)).finalize()
+    streamed = (
+        StreamingTrafficMatrix(_TOPOLOGY, 10.0, duration)
+        .update(head).update(tail).finalize()
+    )
     one_shot = tm_series_from_events(log, _TOPOLOGY, 10.0, duration)
-    assert np.array_equal(merged.matrices, one_shot.matrices)
-    assert np.array_equal(merged.endpoint_ids, one_shot.endpoint_ids)
+    assert np.array_equal(streamed.matrices, one_shot.matrices)
+    assert np.array_equal(streamed.endpoint_ids, one_shot.endpoint_ids)
 
 
 @given(
     log=event_logs(topology=_TOPOLOGY, max_transfers=8),
     pieces=st.integers(min_value=2, max_value=5),
     timeout=st.sampled_from([60.0, 10.0, 1.0]),
-    data=st.data(),
 )
-def test_many_way_split_is_associative(log, pieces, timeout, data):
+def test_many_way_split_equals_one_shot(log, pieces, timeout):
     columns = log.to_columns()
     n = len(log)
     bounds = [round(k * n / pieces) for k in range(pieces + 1)]
@@ -86,16 +85,6 @@ def test_many_way_split_is_associative(log, pieces, timeout, data):
     for chunk in chunks:
         acc.update(chunk)
     assert _flow_tables_equal(acc.finalize(), expected)
-    # One accumulator per piece, merged pairwise in a drawn order of
-    # adjacent pairs: a right side's head flows must still join.
-    partials = [
-        StreamingFlows(inactivity_timeout=timeout).update(chunk)
-        for chunk in chunks
-    ]
-    while len(partials) > 1:
-        at = data.draw(st.integers(min_value=0, max_value=len(partials) - 2))
-        partials[at].merge(partials.pop(at + 1))
-    assert _flow_tables_equal(partials[0].finalize(), expected)
 
 
 def _two_burst_log(gap: float, t0: float = 5.0) -> SocketEventLog:
@@ -135,13 +124,11 @@ def test_timeout_boundary_matches_streaming_split_at_gap(gap):
     timeout = 60.0
     log = _two_burst_log(gap)
     head, tail = _split_rows(log, 1)
-    merged = (
+    streamed = (
         StreamingFlows(inactivity_timeout=timeout)
-        .update(head)
-        .merge(StreamingFlows(inactivity_timeout=timeout).update(tail))
-        .finalize()
+        .update(head).update(tail).finalize()
     )
     one_shot = reconstruct_flows(log, inactivity_timeout=timeout)
-    assert _flow_tables_equal(merged, one_shot)
+    assert _flow_tables_equal(streamed, one_shot)
     effective_gap = (5.0 + gap) - 5.0
-    assert len(merged) == (2 if effective_gap > timeout else 1)
+    assert len(streamed) == (2 if effective_gap > timeout else 1)

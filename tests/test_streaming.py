@@ -1,4 +1,4 @@
-"""Streaming/mergeable analyses equal their in-memory counterparts."""
+"""Streaming analyses equal their in-memory counterparts."""
 
 import numpy as np
 import pytest
@@ -90,13 +90,13 @@ def short_flows_log(duration, seed=5, num_flows=300):
 
 
 def held_raw_bytes(acc):
-    """Start, end and raw byte count of every flow ``acc`` holds."""
+    """End time and raw byte count of every flow ``acc`` holds."""
     segments = acc._segments
     raw = np.bincount(
         segments["owner"], weights=segments["stop"] - segments["start"],
         minlength=acc._held["end"].size,
     )
-    return acc._held["start"], acc._held["end"], raw
+    return acc._held["end"], raw
 
 
 def split_log(log, boundaries):
@@ -131,20 +131,6 @@ class TestStreamingTrafficMatrix:
         assert np.array_equal(got.matrices, expected.matrices)
         assert np.array_equal(got.endpoint_ids, expected.endpoint_ids)
 
-    def test_merge_equals_inmemory(self):
-        log = synthetic_log()
-        topology = small_topology()
-        expected = tm_series_from_events(log, topology, 10.0, 120.0)
-        chunks = split_log(log, [90, 180, 300])
-        partials = []
-        for chunk in chunks:
-            partials.append(StreamingTrafficMatrix(topology, 10.0, 120.0).update(chunk))
-        merged = partials[0]
-        for other in partials[1:]:
-            merged.merge(other)
-        got = merged.finalize()
-        assert np.array_equal(got.matrices, expected.matrices)
-
     def test_empty_chunks_are_noops(self):
         topology = small_topology()
         acc = StreamingTrafficMatrix(topology, 10.0, 60.0)
@@ -163,16 +149,6 @@ class TestStreamingFlows:
         for chunk in split_log(log, boundaries):
             acc.update(chunk)
         assert_flow_tables_equal(acc.finalize(), expected)
-
-    def test_merge_equals_inmemory(self):
-        log = synthetic_log(num_events=600, seed=9)
-        expected = reconstruct_flows(log)
-        chunks = split_log(log, [150, 300, 450])
-        partials = [StreamingFlows().update(chunk) for chunk in chunks]
-        merged = partials[0]
-        for other in partials[1:]:
-            merged.merge(other)
-        assert_flow_tables_equal(merged.finalize(), expected)
 
     def test_send_preference_resolved_across_chunks(self):
         # Tuple seen only as RECV in chunk 1, then as SEND in chunk 2:
@@ -194,21 +170,18 @@ class TestStreamingFlows:
 
     def test_held_bytes_stay_bounded(self):
         # Short flows over 12 timeouts: after every chunk, only flows that
-        # may still change (active within the timeout, or begun within it
-        # of the first event) keep raw bytes, and dead bytes never
-        # outweigh live ones.
+        # may still change (active within the timeout) keep raw bytes, and
+        # dead bytes never outweigh live ones.
         timeout = 5.0
         log = short_flows_log(duration=12 * timeout)
-        first = float(log.column("timestamp")[0])
         acc = StreamingFlows(inactivity_timeout=timeout)
         edges = list(range(0, len(log), 37))
         peak = 0
         for chunk in split_log(log, edges[1:]):
             acc.update(chunk)
             newest = float(chunk.column("timestamp")[-1])
-            start, end, raw = held_raw_bytes(acc)
-            stale = (newest - end > timeout) & (start - first > timeout)
-            assert not raw[stale].any()
+            end, raw = held_raw_bytes(acc)
+            assert not raw[newest - end > timeout].any()
             assert sum(part.size for part in acc._parts) <= 2 * raw.sum()
             peak = max(peak, int(raw.sum()))
         assert peak < len(log) / 4
@@ -216,8 +189,9 @@ class TestStreamingFlows:
         assert_flow_tables_equal(acc.finalize(), expected)
 
     def test_stream_hash_collisions_are_harmless(self, monkeypatch):
-        # The merge matches streams by hash first; if every stream
-        # collided, every open flow would be fused, to the same result.
+        # Folding a chunk in matches streams by hash first; if every
+        # stream collided, every open flow would be fused, to the same
+        # result.
         monkeypatch.setattr(
             streaming, "_stream_hash",
             lambda table, rows=slice(None): np.zeros(
@@ -275,10 +249,10 @@ class TestInactivityTimeoutBoundary:
         (np.nextafter(100.0 + DEFAULT_INACTIVITY_TIMEOUT, np.inf), 2),
     ])
     def test_close_rule_boundary_across_chunks(self, late, flows):
-        # The flow on port 50000 last sent at t=100 and is no head flow
-        # (the log starts at 0).  Another tuple's event ends chunk one at
-        # `late`, exactly 100 + timeout in the first case, so the flow
-        # must stay open for its next event at `late` in chunk two.
+        # The flow on port 50000 last sent at t=100.  Another tuple's
+        # event ends chunk one at `late`, exactly 100 + timeout in the
+        # first case, so the flow must stay open for its next event at
+        # `late` in chunk two.
         log = build_log([
             {"timestamp": 0.0, "dst_port": 50001},
             {"timestamp": 100.0},
@@ -290,20 +264,17 @@ class TestInactivityTimeoutBoundary:
         left, right = split_log(log, [3])
         acc = StreamingFlows().update(left).update(right)
         assert_flow_tables_equal(acc.finalize(), expected)
-        merged = StreamingFlows().update(left)
-        merged.merge(StreamingFlows().update(right))
-        assert_flow_tables_equal(merged.finalize(), expected)
 
     def test_merge_joins_flows_across_boundary_gap(self):
-        # Two accumulators whose boundary flows are within the timeout
-        # must produce ONE flow after merge, matching the in-memory run.
+        # Folding in a chunk whose first flow is within the timeout of the
+        # held one must produce ONE flow, matching the in-memory run, and
+        # a second finalize returns it again.
         log = self._log_with_gap(1.0)
         expected = reconstruct_flows(log)
         left, right = split_log(log, [2])
-        merged = StreamingFlows().update(left)
-        merged.merge(StreamingFlows().update(right))
-        assert_flow_tables_equal(merged.finalize(), expected)
-        assert len(merged.finalize()) == 1
+        acc = StreamingFlows().update(left).update(right)
+        assert_flow_tables_equal(acc.finalize(), expected)
+        assert len(acc.finalize()) == 1
 
 
 class TestStreamingCongestion:
@@ -324,42 +295,8 @@ class TestStreamingCongestion:
         assert got.longest_episode == expected.longest_episode
         assert got.links_with_any_congestion == expected.links_with_any_congestion
 
-    def test_merge_stitches_runs_across_boundary(self):
-        util = np.ones((2, 10))  # every bin hot: one long run per link
-        expected = congestion_summary(util, threshold=0.7)
-        left = StreamingCongestion(num_links=2, threshold=0.7)
-        left.update(util[:, :5])
-        right = StreamingCongestion(num_links=2, threshold=0.7)
-        right.update(util[:, 5:], start_bin=5)
-        got = left.merge(right).finalize()
-        assert got.episodes == expected.episodes
-        assert got.longest_episode == expected.longest_episode
-
-    def test_non_contiguous_update_rejected(self):
-        acc = StreamingCongestion(num_links=1)
-        acc.update(np.zeros((1, 4)))
-        with pytest.raises(ValueError):
-            acc.update(np.zeros((1, 4)), start_bin=9)
-
 
 class TestFlowStatsSketch:
-    def test_merge_order_invariant(self):
-        log = synthetic_log(num_events=500, seed=21)
-        flows = reconstruct_flows(log)
-        whole = FlowStatsSketch().update(flows)
-
-        half = len(flows) // 2
-        import dataclasses
-        first = dataclasses.replace(
-            flows, **{f: getattr(flows, f)[:half] for f in FLOW_FIELDS}
-        )
-        second = dataclasses.replace(
-            flows, **{f: getattr(flows, f)[half:] for f in FLOW_FIELDS}
-        )
-        a = FlowStatsSketch().update(first).merge(FlowStatsSketch().update(second))
-        b = FlowStatsSketch().update(second).merge(FlowStatsSketch().update(first))
-        assert a.finalize() == b.finalize() == whole.finalize()
-
     def test_quantiles_reasonable(self):
         log = synthetic_log(num_events=500, seed=22)
         flows = reconstruct_flows(log)

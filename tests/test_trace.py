@@ -1,6 +1,7 @@
 """The on-disk trace store: writer, reader, recording, analysis, CLI."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from repro.trace import (
     find_traces,
     record_trace,
 )
-from repro.trace.format import read_manifest
+from repro.trace.format import read_manifest, write_manifest
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -240,10 +241,24 @@ class TestAnalyze:
             "congestion_equal": True, "all_equal": True,
         }
 
-    def test_parallel_matches_inmemory(self, recorded):
+    def test_jobs_other_than_one_rejected(self, recorded):
         path, _ = recorded
-        checks = check_against_inmemory(path, jobs=2)
-        assert checks["all_equal"], checks
+        with pytest.raises(ValueError, match="one process"):
+            analyze_trace(path, jobs=2)
+
+    def test_link_load_sidecar_loaded_once(self, recorded, monkeypatch):
+        path, _ = recorded
+        real = TraceReader.linkloads
+        calls = []
+
+        def spy(reader):
+            calls.append(reader.path)
+            return real(reader)
+
+        monkeypatch.setattr(TraceReader, "linkloads", spy)
+        analysis = analyze_trace(path)
+        assert analysis.congestion is not None
+        assert len(calls) == 1
 
     def test_summary_has_headline_numbers(self, recorded):
         path, _ = recorded
@@ -275,6 +290,23 @@ class TestDatasetFromTrace:
         assert dataset.utilization.shape[0] > 0
         assert dataset.extras["trace_path"] == str(path)
         assert dataset.observed_utilization.shape[0] == dataset.observed_links.size
+
+    def test_unknown_cluster_spec_keys_dropped(self, recorded, tmp_path):
+        # A key a newer writer added to the spec must not stop the dataset
+        # from loading a trace the streaming pass reads.
+        from repro.experiments import dataset_from_trace
+
+        path, _ = recorded
+        copy = tmp_path / "future.reprotrace"
+        shutil.copytree(path, copy)
+        manifest = read_manifest(copy)
+        manifest["meta"]["cluster_spec"]["some_future_field"] = 1
+        write_manifest(copy, manifest)
+        dataset = dataset_from_trace(copy)
+        assert len(dataset.flows) == len(analyze_trace(copy).flows) > 0
+        assert dataset.config.cluster == ClusterSpec(
+            **TraceReader(path).meta["cluster_spec"]
+        )
 
 
 class TestFindTraces:
