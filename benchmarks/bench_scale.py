@@ -1,7 +1,7 @@
 """Paper-scale benchmarks: allocator event latency and a full campaign.
 
 The IMC'09 cluster has ~1500 servers; these benchmarks pin the cost of
-running a *single* simulated campaign at that size.  Two angles:
+running a *single* simulated campaign at that size.  Three angles:
 
 * Steady-state arrival/departure latency — one flow finishes, one flow
   arrives, rates recompute — at 2k / 8k / 32k concurrent flows on the
@@ -12,6 +12,10 @@ running a *single* simulated campaign at that size.  Two angles:
 * Wall-clock and peak RSS for an end-to-end 1536-server campaign under
   ``transport_impl="incremental"`` — the number a user planning a
   paper-scale reproduction actually needs (see EXPERIMENTS.md).
+* The same campaign under the queued ``dctcp`` transport, with its tick
+  count, transfers and peak active flows pinned: at this size the
+  per-tick arithmetic over 3216 links and ~1.3k active flows, not the
+  per-call overhead, sets the cost of a tick.
 
 Each timed call covers ``_EVENTS_PER_ROUND`` churn events, so
 ``wall_seconds / _EVENTS_PER_ROUND`` is the per-event latency.
@@ -227,4 +231,52 @@ def test_paper_scale_campaign(benchmark, bench_record, report):
         "paper-scale campaign (1536 servers, incremental allocator): "
         f"{config.duration:.0f}s simulated, peak RSS {rss_mb:.0f} MB, "
         f"{int(stats['transfers_completed'])} transfers completed"
+    )
+
+
+#: Work of the paper-scale DCTCP campaign (15 simulated seconds, seed 7).
+#: The campaign consumes no wall-clock input, so a change that moves
+#: these counts changed what the campaign does, not how fast.
+PAPER_SCALE_DCTCP_WORK = {
+    "cc_ticks": 34209,
+    "transfers_completed": 12358,
+    "peak_active_flows": 1267,
+}
+
+
+def test_paper_scale_dctcp_campaign(benchmark, bench_record, report):
+    """The 1536-server campaign under the queued DCTCP transport."""
+    from repro.config import SimulationConfig
+    from repro.simulation.simulator import Simulator
+    from repro.workload.generator import WorkloadConfig
+
+    config = SimulationConfig(
+        cluster=PAPER_SPEC,
+        workload=WorkloadConfig(job_arrival_rate=4.0),
+        duration=15.0,
+        seed=7,
+        transport_impl="dctcp",
+    )
+    simulator = Simulator(config)
+    result = benchmark.pedantic(simulator.run, rounds=1, iterations=1)
+    work = {
+        "cc_ticks": int(result.cc.ticks),
+        "transfers_completed": int(result.stats["transfers_completed"]),
+        "peak_active_flows": int(simulator.transport.peak_active),
+    }
+    assert work == PAPER_SCALE_DCTCP_WORK
+    bench_record(
+        "paper_scale_dctcp_campaign",
+        {
+            "servers": PAPER_SPEC.racks * PAPER_SPEC.servers_per_rack,
+            "num_links": int(simulator.topology.num_links),
+            "duration_simulated_seconds": config.duration,
+            **work,
+        },
+    )
+    report(
+        "paper-scale campaign (1536 servers, dctcp): "
+        f"{config.duration:.0f}s simulated, {work['cc_ticks']} ticks, "
+        f"{work['transfers_completed']} transfers, peak "
+        f"{work['peak_active_flows']} active flows"
     )

@@ -19,10 +19,12 @@ __all__ = ["QUICK_SELECTION", "run_benchmarks"]
 
 #: ``--quick`` runs only benchmarks that need no standard dataset — the
 #: session-scoped standard campaign takes minutes to build, while these
-#: finish in seconds and still cover the transport hot path end to end.
+#: finish in seconds and still cover the transport hot paths end to end:
+#: the fluid allocator's churn and the queued transports' tick.
 QUICK_SELECTION = (
     "maxmin_waterfill or small_campaign_simulation"
     " or (event_latency_incremental and n2000)"
+    " or event_latency_queued"
 )
 
 #: Environment variable the benchmarks conftest reads for the output path.

@@ -7,7 +7,9 @@ post-service occupancy sits at or above the fixed threshold K, and
 tail-drops whatever exceeds the buffer.  The class keeps exact
 enqueued/dequeued/dropped byte ledgers per link, so the
 ``transport.queue_conservation`` invariant (enqueued == dequeued +
-dropped + resident) is checkable at any instant.
+dropped + resident) is checkable at any instant.  The six lifetime
+ledgers (bytes and packets) are the rows of one array, so a tick adds
+them in one operation; the public ledger names are views of its rows.
 """
 
 from __future__ import annotations
@@ -33,25 +35,32 @@ class LinkQueues:
         self.params = params
         self.capacity_bytes = params.queue_capacity_bytes
         self.threshold_bytes = params.ecn_threshold_bytes
+        #: Occupancy at or above which arrivals are CE-marked.
+        self._mark_level = self.threshold_bytes - 1e-9
         #: Current occupancy, bytes per link.
         self.backlog_bytes = np.zeros(num_links)
-        #: Lifetime ledgers, bytes per link.
-        self.enqueued_bytes = np.zeros(num_links)
-        self.dequeued_bytes = np.zeros(num_links)
-        self.dropped_bytes = np.zeros(num_links)
-        #: Lifetime ledgers, (fractional fluid) packets per link.
-        self.marked_packets = np.zeros(num_links)
-        self.dropped_packets = np.zeros(num_links)
-        self.forwarded_packets = np.zeros(num_links)
+        #: Lifetime ledgers, one row each, so a tick adds all six in one
+        #: operation; the public names below are views of the rows.
+        self._ledgers = np.zeros((6, num_links))
+        #: Bytes per link: admitted, serviced, tail-dropped.
+        self.enqueued_bytes = self._ledgers[0]
+        self.dequeued_bytes = self._ledgers[1]
+        self.dropped_bytes = self._ledgers[2]
+        #: (Fractional fluid) packets per link: CE-marked, forwarded,
+        #: tail-dropped.
+        self.marked_packets = self._ledgers[3]
+        self.forwarded_packets = self._ledgers[4]
+        self.dropped_packets = self._ledgers[5]
 
     @property
     def resident_bytes(self) -> np.ndarray:
         """Bytes currently sitting in each queue (the conservation term)."""
         return self.backlog_bytes.copy()
 
-    def queueing_delay(self) -> np.ndarray:
-        """Seconds a packet arriving now waits at each link's queue."""
-        return self.backlog_bytes / self.capacities
+    def queueing_delay(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Seconds a packet arriving now waits at each link's queue
+        (written into ``out`` when given)."""
+        return np.divide(self.backlog_bytes, self.capacities, out=out)
 
     def step(
         self, arrivals_bytes: np.ndarray, dt: float
@@ -67,33 +76,35 @@ class LinkQueues:
         the ``linkloads.sane`` utilisation invariant.
         """
         arrivals = np.asarray(arrivals_bytes, dtype=float)
+        # This tick's ledger increments, in the rows of ``_ledgers``:
+        # bytes admitted, serviced and dropped, then the same in packets
+        # (the admitted row becomes the CE-marked packets).
+        moved = np.empty((6, self.num_links))
+        surviving, serviced, dropped = moved[0], moved[1], moved[2]
         offered = self.backlog_bytes + arrivals
-        serviced = np.minimum(offered, self.capacities * dt)
+        np.minimum(offered, self.capacities * dt, out=serviced)
         level = offered - serviced
         overflow = np.maximum(level - self.capacity_bytes, 0.0)
         # Tail-drop: only arriving bytes can be dropped, so the drop is
         # capped by what arrived this tick (service drains backlog first,
         # which can leave level > capacity only via arrivals).
-        dropped = np.minimum(overflow, arrivals)
-        self.backlog_bytes = level - dropped
+        np.minimum(overflow, arrivals, out=dropped)
+        np.subtract(level, dropped, out=self.backlog_bytes)
+        np.subtract(arrivals, dropped, out=surviving)
 
-        with np.errstate(invalid="ignore", divide="ignore"):
-            drop_fraction = np.where(arrivals > 0, dropped / arrivals, 0.0)
+        # Links with no arrivals report 0 for both fractions.
+        arriving = arrivals > 0
+        drop_fraction = np.zeros(self.num_links)
+        np.divide(dropped, arrivals, out=drop_fraction, where=arriving)
         # Fixed-K marking: CE-mark arrivals that land in (or behind) a
         # queue at/above K once this tick's service has run.
-        marked = (arrivals > 0) & (
-            self.backlog_bytes >= self.threshold_bytes - 1e-9
-        )
-        mark_fraction = marked.astype(float)
+        mark_fraction = (
+            arriving & (self.backlog_bytes >= self._mark_level)
+        ).astype(float)
 
-        mtu = self.params.mtu_bytes
-        surviving = arrivals - dropped
-        self.enqueued_bytes += surviving
-        self.dequeued_bytes += serviced
-        self.dropped_bytes += dropped
-        self.forwarded_packets += serviced / mtu
-        self.dropped_packets += dropped / mtu
-        self.marked_packets += (surviving / mtu) * mark_fraction
+        np.divide(moved[:3], self.params.mtu_bytes, out=moved[3:])
+        moved[3] *= mark_fraction
+        self._ledgers += moved
         return serviced, drop_fraction, mark_fraction
 
     def conservation_residual(self) -> np.ndarray:

@@ -6,15 +6,38 @@ simulator-facing surface (``add_flow`` / ``advance_to`` /
 ``pop_completed`` / dynamic wakeup) so :class:`~repro.simulation.simulator.Simulator`
 can swap it in behind ``SimulationConfig.transport_impl``.  Instead of
 an ideal max-min allocation it integrates a fluid-window model on a
-fixed tick: every flow paces ``cwnd / rtt`` into per-link FIFO queues
+fixed tick: every flow paces one window per *base* RTT,
+``cwnd * mtu / base_rtt``, into per-link FIFO queues
 (:class:`~repro.simulation.cc.queue.LinkQueues`), where bytes are
-CE-marked past the fixed threshold K and tail-dropped past the buffer;
-RTTs include live queueing delay, and once per RTT each flow closes a
-*round* and applies its variant's window transition
+CE-marked past the fixed threshold K and tail-dropped past the buffer.
+The live RTT (base RTT plus the queueing delay along the path) sets
+each flow's round length and its RTT/FCT accounting; once per live RTT
+a flow closes a *round* and applies its variant's window transition
 (:mod:`~repro.simulation.cc.cwnd`).  A round that loses at least
 ``timeout_loss_fraction`` of its bytes is a whole-window loss: the flow
 collapses to the minimum window and sits out ``min_rto`` — the
 serialisation mechanism behind incast goodput collapse (§4.4).
+
+**Compact active-flow state.**  A tick touches only the active flows,
+held as one entry each in ascending slot order: the slots, a path table
+padded to ``max_path`` hops with a sentinel link (index ``num_links``,
+whose delay and drop/mark fractions stay 0, so padding adds nothing to
+any reduction), and one float array of per-flow rows (window, RTO,
+round clock and the six byte accumulators).  Only
+:meth:`QueuedTransport.add_flow` and the completion of drained flows
+rebuild it; between rebuilds every tick is a fixed set of whole-array
+operations, with no slot lookups.  These arrays are the only copy of a
+flow's state, so nothing is ever written back: a slot is just the
+flow's id, reused last-freed-first, and the key of its metadata.
+Readers between ticks (``active_rates``, ``utilization_snapshot``,
+``earliest_active_start``, ``cc_report``) read the arrays the tick
+writes and change nothing.
+
+Every per-flow reduction has one fixed order, which the pinned output
+digests depend on: ``bincount`` adds the per-link arrivals flow by flow
+in slot order, drained flows finish in slot order, path queueing delays
+add in the pairwise order of NumPy's 8-wide row sum, and drop/mark
+survival factors multiply hop by hop.
 
 The engine cadence reuses the dynamic-time-source hook: the transport's
 ``next_completion_wakeup`` simply asks for ``now + tick`` while any flow
@@ -49,6 +72,16 @@ __all__ = ["CCReport", "QueuedTransport"]
 _EPS_BYTES = 0.5
 #: Slack for "is this round due" / "is this flow stalled" comparisons.
 _EPS_TIME = 1e-12
+#: Rows of the per-flow state array, in the order ``_set_active`` binds
+#: them: window state, the round clock, the round's three accumulators,
+#: three lifetime accumulators, the RTO count and the start time.
+_ROWS = (
+    "remaining", "cwnd", "ssthresh", "alpha", "rto_until", "round_end",
+    "round_sent", "round_lost", "round_marked",
+    "retx_bytes", "rtt_weighted", "sent_total", "timeouts", "start_time",
+)
+#: The round's accumulators, reset together when a round closes.
+_ROUND = slice(_ROWS.index("round_sent"), _ROWS.index("round_marked") + 1)
 
 
 @dataclass(frozen=True)
@@ -106,7 +139,6 @@ class QueuedTransport:
         sinks: list[LoadSink] | None = None,
         impl: str = "dctcp",
         params: CongestionControlConfig | None = None,
-        initial_capacity: int = 256,
     ) -> None:
         if impl not in CC_VARIANTS:
             raise ValueError(
@@ -126,31 +158,32 @@ class QueuedTransport:
         self.num_links = topology.num_links
         self.max_path = 8
         self.queues = LinkQueues(self.num_links, self.capacities, self.params)
+        #: Queueing delay per link after the last tick, plus the sentinel
+        #: link ``num_links`` that pads every path row: its delay stays 0.
+        self._delay = np.zeros(self.num_links + 1)
+        #: Per-link survival factors of the last tick: ``1 - drop
+        #: fraction`` at ``[0, num_links]``, then ``1 - mark fraction`` at
+        #: ``[num_links + 1, 2 * num_links + 1]``; both sentinels stay 1.
+        self._keep = np.ones(2 * (self.num_links + 1))
+        self._keep_offsets = np.array([0, self.num_links + 1])[:, None, None]
 
-        size = max(16, initial_capacity)
-        self._paths = np.full((size, self.max_path), -1, dtype=np.int64)
-        self._remaining = np.zeros(size, dtype=float)
-        self._active = np.zeros(size, dtype=bool)
-        self._meta: list[TransferMeta | None] = [None] * size
-        self._on_complete: list[Callable[[Transfer], None] | None] = [None] * size
-        self._src = np.zeros(size, dtype=np.int64)
-        self._dst = np.zeros(size, dtype=np.int64)
-        self._sizes = np.zeros(size, dtype=float)
-        self._start_times = np.zeros(size, dtype=float)
-        # Congestion-control state, per slot (windows in packets).
-        self._cwnd = np.zeros(size, dtype=float)
-        self._ssthresh = np.zeros(size, dtype=float)
-        self._alpha = np.zeros(size, dtype=float)
-        self._rto_until = np.full(size, -np.inf)
-        self._round_end = np.zeros(size, dtype=float)
-        self._round_sent = np.zeros(size, dtype=float)
-        self._round_lost = np.zeros(size, dtype=float)
-        self._round_marked = np.zeros(size, dtype=float)
-        self._retx_bytes = np.zeros(size, dtype=float)
-        self._timeouts = np.zeros(size, dtype=np.int64)
-        self._rtt_weighted = np.zeros(size, dtype=float)
-        self._sent_total = np.zeros(size, dtype=float)
-        self._free_slots: list[int] = list(range(size - 1, -1, -1))
+        # Slots are stable flow ids: a finished flow's slot is reused
+        # first (last freed, first reused), else the next unused one.
+        # Ascending slot order is the order of every per-flow reduction.
+        self._free_slots: list[int] = []
+        #: Per slot: (src, dst, size, meta, on_complete) of an active flow.
+        self._flow_info: list[
+            tuple[int, int, float, TransferMeta,
+                  Callable[[Transfer], None] | None] | None
+        ] = []
+        # The compact active-flow state, one column per active flow in
+        # ascending slot order: slots, sentinel-padded path table and
+        # the per-flow float rows (see ``_set_active``).
+        self._set_active(
+            np.empty(0, dtype=np.int64),
+            np.empty((0, self.max_path), dtype=np.int64),
+            np.empty((len(_ROWS), 0)),
+        )
 
         self.now = 0.0
         self._completed_buffer: list[
@@ -176,36 +209,55 @@ class QueuedTransport:
         self.frontier_rebuilds = 0
         self._inc = None
 
-    # ---------------------------------------------------------------- slots
+    # ---------------------------------------------------------- active set
 
-    def _grow(self) -> None:
-        old = self._paths.shape[0]
-        self._paths = np.vstack(
-            [self._paths, np.full((old, self.max_path), -1, dtype=np.int64)]
-        )
-        for name in (
-            "_remaining", "_src", "_dst", "_sizes", "_start_times",
-            "_cwnd", "_ssthresh", "_alpha", "_round_end", "_round_sent",
-            "_round_lost", "_round_marked", "_retx_bytes", "_rtt_weighted",
-            "_sent_total", "_timeouts",
-        ):
-            array = getattr(self, name)
-            setattr(
-                self, name,
-                np.concatenate([array, np.zeros(old, dtype=array.dtype)]),
-            )
-        self._rto_until = np.concatenate(
-            [self._rto_until, np.full(old, -np.inf)]
-        )
-        self._active = np.concatenate([self._active, np.zeros(old, dtype=bool)])
-        self._meta.extend([None] * old)
-        self._on_complete.extend([None] * old)
-        self._free_slots.extend(range(old * 2 - 1, old - 1, -1))
+    def _set_active(
+        self, slots: np.ndarray, links: np.ndarray, state: np.ndarray
+    ) -> None:
+        """Install a new active set and derive what the tick reads."""
+        self._slots = slots
+        self._links = links
+        self._state = state
+        #: Hop-major indices of each hop's drop and mark survival factor
+        #: in ``_keep``, so one gather serves both products; the drop half
+        #: is also the hop-major path table the RTT sums read.
+        self._keep_index = np.ascontiguousarray(links.T) + self._keep_offsets
+        (
+            self._remaining, self._cwnd, self._ssthresh, self._alpha,
+            self._rto_until, self._round_end,
+            self._round_sent, self._round_lost, self._round_marked,
+            self._retx_bytes, self._rtt_weighted, self._sent_total,
+            self._timeouts, self._start_times,
+        ) = state
+        self._rtt = self._path_rtts()
+
+    def _path_rtts(self) -> np.ndarray:
+        """Base RTT plus the live queueing delay along each active path.
+
+        Hop delays add pairwise, ((d0+d1)+(d2+d3))+((d4+d5)+(d6+d7)),
+        the order of NumPy's ``sum(axis=1)`` over an 8-wide path row.
+        """
+        delays = self._delay[self._keep_index[0]]
+        pairs = delays[0::2] + delays[1::2]
+        quads = pairs[0::2] + pairs[1::2]
+        return self.params.base_rtt + (quads[0] + quads[1])
+
+    def _offered(self, rates: np.ndarray) -> np.ndarray:
+        """Bytes (or bytes/s) per link from per-flow ``rates``.
+
+        ``bincount`` adds flow by flow in slot order, each flow's hops in
+        path order; the padding lands in the sentinel bin, dropped here.
+        """
+        return np.bincount(
+            self._links.ravel(),
+            weights=np.repeat(rates, self.max_path),
+            minlength=self.num_links + 1,
+        )[: self.num_links]
 
     @property
     def active_count(self) -> int:
         """Number of in-flight flows."""
-        return int(self._active.sum())
+        return int(self._slots.size)
 
     # ---------------------------------------------------------------- flows
 
@@ -225,66 +277,66 @@ class QueuedTransport:
             raise ValueError("flow path must cross at least one link")
         if len(path_links) > self.max_path:
             raise ValueError("path exceeds transport's max path length")
-        if not self._free_slots:
-            self._grow()
         params = self.params
-        slot = self._free_slots.pop()
-        self._paths[slot, :] = -1
-        self._paths[slot, : len(path_links)] = path_links
-        self._remaining[slot] = size
-        self._active[slot] = True
-        self._meta[slot] = meta
-        self._on_complete[slot] = on_complete
-        self._src[slot] = src
-        self._dst[slot] = dst
-        self._sizes[slot] = size
-        self._start_times[slot] = self.now
-        self._cwnd[slot] = params.initial_cwnd_packets
-        self._ssthresh[slot] = params.max_cwnd_packets
-        self._alpha[slot] = 0.0
-        self._rto_until[slot] = -np.inf
-        self._round_end[slot] = self.now + params.base_rtt
-        self._round_sent[slot] = 0.0
-        self._round_lost[slot] = 0.0
-        self._round_marked[slot] = 0.0
-        self._retx_bytes[slot] = 0.0
-        self._timeouts[slot] = 0
-        self._rtt_weighted[slot] = 0.0
-        self._sent_total[slot] = 0.0
+        if self._free_slots:
+            slot = self._free_slots.pop()
+        else:
+            slot = len(self._flow_info)
+            self._flow_info.append(None)
+        self._flow_info[slot] = (int(src), int(dst), float(size), meta, on_complete)
+        links = np.full(self.max_path, self.num_links, dtype=np.int64)
+        links[: len(path_links)] = path_links
+        column = _initial_column(params, float(size), self.now)
+        at = int(np.searchsorted(self._slots, slot))
+        self._set_active(
+            np.concatenate((self._slots[:at], [slot], self._slots[at:])),
+            np.concatenate((self._links[:at], links[None], self._links[at:])),
+            np.concatenate(
+                (self._state[:, :at], column[:, None], self._state[:, at:]),
+                axis=1,
+            ),
+        )
         self.transfers_started += 1
-        active = self.active_count
-        if active > self.peak_active:
-            self.peak_active = active
+        if self._slots.size > self.peak_active:
+            self.peak_active = int(self._slots.size)
         return slot
 
-    def _finish(self, slot: int) -> None:
-        meta = self._meta[slot]
-        assert meta is not None
-        transfer = Transfer(
-            transfer_id=self._next_transfer_id,
-            src=int(self._src[slot]),
-            dst=int(self._dst[slot]),
-            size=float(self._sizes[slot]),
-            start_time=float(self._start_times[slot]),
-            end_time=self.now,
-            meta=meta,
+    def _finish(self, drained: np.ndarray) -> None:
+        """Complete the active flows at ``drained`` (ascending positions)."""
+        base_rtt = self.params.base_rtt
+        for position in drained.tolist():
+            slot = int(self._slots[position])
+            info = self._flow_info[slot]
+            assert info is not None
+            src, dst, size, meta, on_complete = info
+            transfer = Transfer(
+                transfer_id=self._next_transfer_id,
+                src=src,
+                dst=dst,
+                size=size,
+                start_time=float(self._start_times[position]),
+                end_time=self.now,
+                meta=meta,
+            )
+            self._completed_buffer.append((transfer, on_complete))
+            self._next_transfer_id += 1
+            self._fct.append(transfer.duration)
+            self._done_sizes.append(size)
+            self._done_retx.append(float(self._retx_bytes[position]))
+            self._done_timeouts.append(int(self._timeouts[position]))
+            sent = float(self._sent_total[position])
+            self._done_mean_rtt.append(
+                float(self._rtt_weighted[position]) / sent
+                if sent > 0
+                else base_rtt
+            )
+            self._flow_info[slot] = None
+            self._free_slots.append(slot)
+        kept = np.ones(self._slots.size, dtype=bool)
+        kept[drained] = False
+        self._set_active(
+            self._slots[kept], self._links[kept], self._state[:, kept]
         )
-        self._completed_buffer.append((transfer, self._on_complete[slot]))
-        self._next_transfer_id += 1
-        self._fct.append(transfer.duration)
-        self._done_sizes.append(transfer.size)
-        self._done_retx.append(float(self._retx_bytes[slot]))
-        self._done_timeouts.append(int(self._timeouts[slot]))
-        sent = float(self._sent_total[slot])
-        self._done_mean_rtt.append(
-            float(self._rtt_weighted[slot]) / sent
-            if sent > 0
-            else self.params.base_rtt
-        )
-        self._active[slot] = False
-        self._meta[slot] = None
-        self._on_complete[slot] = None
-        self._free_slots.append(slot)
 
     def pop_completed(
         self,
@@ -297,47 +349,40 @@ class QueuedTransport:
 
     # ------------------------------------------------------------- stepping
 
-    def _path_rtts(self, paths: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        """Base RTT plus the live queueing delay along each flow's path."""
-        delay = self.queues.queueing_delay()
-        return self.params.base_rtt + (
-            delay[paths.clip(min=0)] * valid
-        ).sum(axis=1)
+    def _pacing_rates(self) -> np.ndarray:
+        """Bytes/s each active flow sends this tick.
+
+        One window per *base* RTT.  The live queueing delay feeds the
+        round duration and the RTT/FCT accounting, but not the pacing
+        rate: offered load must stay a direct function of the window
+        sum, so oversubscription manifests as marking and loss at the
+        queue instead of being silently absorbed by delay-throttled
+        senders.  An RTO-stalled flow sends nothing.
+        """
+        params = self.params
+        rates = self._cwnd * params.mtu_bytes / params.base_rtt
+        rates[self._rto_until > self.now + _EPS_TIME] = 0.0
+        return rates
 
     def _step(self, t_end: float) -> None:
         """Advance one tick (or partial tick) to ``t_end``."""
-        params = self.params
         dt = t_end - self.now
-        active_idx = np.flatnonzero(self._active)
-        arrivals = np.zeros(self.num_links)
-        sent = rtt = paths = valid = None
-        if active_idx.size and dt > 0:
-            paths = self._paths[active_idx]
-            valid = paths >= 0
-            rtt = self._path_rtts(paths, valid)
-            stalled = self._rto_until[active_idx] > self.now + _EPS_TIME
-            # Pace one window per *base* RTT.  The live queueing delay
-            # feeds the round duration and the RTT/FCT accounting, but
-            # not the pacing rate: offered load must stay a direct
-            # function of the window sum, so oversubscription manifests
-            # as marking and loss at the queue instead of being silently
-            # absorbed by delay-throttled senders.
-            rate = np.where(
-                stalled,
-                0.0,
-                self._cwnd[active_idx] * params.mtu_bytes / params.base_rtt,
-            )
-            sent = np.minimum(rate * dt, self._remaining[active_idx])
-            per_link = np.repeat(sent, valid.sum(axis=1))
-            arrivals = np.bincount(
-                paths[valid], weights=per_link, minlength=self.num_links
-            )
-        serviced, drop_frac, mark_frac = self.queues.step(arrivals, dt)
-        backlog_peak = float(self.queues.backlog_bytes.max(initial=0.0))
+        flowing = self._slots.size > 0 and dt > 0
+        if flowing:
+            rtt = self._rtt
+            sent = np.minimum(self._pacing_rates() * dt, self._remaining)
+            arrivals = self._offered(sent)
+        else:
+            arrivals = np.zeros(self.num_links)
+        queues = self.queues
+        serviced, drop_frac, mark_frac = queues.step(arrivals, dt)
+        backlog = queues.backlog_bytes
+        backlog_peak = float(backlog.max(initial=0.0))
         if backlog_peak > self.peak_queue_bytes:
             self.peak_queue_bytes = backlog_peak
+        queues.queueing_delay(out=self._delay[:-1])
         if dt > 0:
-            loaded = np.flatnonzero(serviced)
+            loaded = serviced.nonzero()[0]
             if loaded.size and self.sinks:
                 for sink in self.sinks:
                     sink.add_interval_bulk(
@@ -345,63 +390,59 @@ class QueuedTransport:
                         unique_keys=True,
                     )
             if self._depth_sinks:
-                occupied = np.flatnonzero(self.queues.backlog_bytes)
+                occupied = backlog.nonzero()[0]
                 if occupied.size:
                     for sink in self._depth_sinks:
                         sink.add_queue_depth_bulk(
-                            occupied,
-                            self.queues.backlog_bytes[occupied],
-                            self.now,
-                            t_end,
+                            occupied, backlog[occupied], self.now, t_end,
                         )
-        if sent is not None:
+        if flowing:
             # Per-flow loss / mark probabilities compose multiplicatively
-            # along the path (independent fluid approximation).
-            survive = np.prod(
-                np.where(valid, 1.0 - drop_frac[paths.clip(min=0)], 1.0),
-                axis=1,
-            )
-            unmarked = np.prod(
-                np.where(valid, 1.0 - mark_frac[paths.clip(min=0)], 1.0),
-                axis=1,
-            )
+            # along the path (independent fluid approximation); both
+            # products in one pass over the padded path table.
+            keep, sentinel = self._keep, self.num_links
+            np.subtract(1.0, drop_frac, out=keep[:sentinel])
+            np.subtract(1.0, mark_frac, out=keep[sentinel + 1 : -1])
+            survive, unmarked = keep[self._keep_index].prod(axis=1)
             delivered = sent * survive
             lost = sent - delivered
-            self._remaining[active_idx] = np.maximum(
-                self._remaining[active_idx] - delivered, 0.0
-            )
-            self._round_sent[active_idx] += sent
-            self._round_lost[active_idx] += lost
-            self._round_marked[active_idx] += delivered * (1.0 - unmarked)
-            self._retx_bytes[active_idx] += lost
-            self._rtt_weighted[active_idx] += rtt * sent
-            self._sent_total[active_idx] += sent
+            np.maximum(self._remaining - delivered, 0.0, out=self._remaining)
+            self._round_sent += sent
+            self._round_lost += lost
+            self._round_marked += delivered * (1.0 - unmarked)
+            self._retx_bytes += lost
+            self._rtt_weighted += rtt * sent
+            self._sent_total += sent
         self.now = t_end
         self.ticks += 1
-        if active_idx.size:
-            self._close_due_rounds(active_idx)
-            drained = active_idx[self._remaining[active_idx] <= _EPS_BYTES]
-            for slot in drained:
-                self._finish(int(slot))
+        if self._slots.size:
+            # Rounds restart on the RTTs behind this tick's queues, which
+            # are also the next tick's.
+            self._rtt = self._path_rtts()
+            self._close_due_rounds()
+            drained = (self._remaining <= _EPS_BYTES).nonzero()[0]
+            if drained.size:
+                self._finish(drained)
 
-    def _close_due_rounds(self, active_idx: np.ndarray) -> None:
+    def _close_due_rounds(self) -> None:
         """Apply window transitions for flows whose RTT round elapsed."""
         params = self.params
-        due = active_idx[self._round_end[active_idx] <= self.now + _EPS_TIME]
+        now = self.now
+        due = (self._round_end <= now + _EPS_TIME).nonzero()[0]
         if not due.size:
             return
-        sent = self._round_sent[due]
-        data = due[sent > 0]
+        data = due[self._round_sent[due] > 0]
         if data.size:
             round_sent = self._round_sent[data]
             round_lost = self._round_lost[data]
             delivered = np.maximum(round_sent - round_lost, _EPS_BYTES)
             loss_frac = round_lost / round_sent
             mark_frac = np.minimum(self._round_marked[data] / delivered, 1.0)
+            # Loss fractions are never negative, so exactly one of
+            # lossless, lossy and timeout holds for each flow.
+            lossless = loss_frac == 0
             timeout = loss_frac >= params.timeout_loss_fraction
-            lossy = (loss_frac > 0) & ~timeout
-            marked = (mark_frac > 0) & ~timeout & ~lossy
-            clean = ~timeout & ~lossy & ~marked
+            marked = lossless & (mark_frac > 0)
             if self.impl == "dctcp":
                 self._alpha[data] = dctcp_update_alpha(
                     self._alpha[data], mark_frac, params.dctcp_gain
@@ -414,19 +455,23 @@ class QueuedTransport:
                         params.min_cwnd_packets,
                     )
                     self._ssthresh[cut_idx] = self._cwnd[cut_idx]
+                halving = ~(lossless | timeout)
+                growing = lossless & ~marked
             elif self.impl == "ecn_taildrop":
                 # Classic ECN: a marked round is treated as a lossy one.
-                lossy = lossy | marked
+                growing = lossless & ~marked
+                halving = ~(growing | timeout)
             else:  # reno ignores CE marks entirely
-                clean = clean | marked
-            halve_idx = data[lossy]
+                halving = ~(lossless | timeout)
+                growing = lossless
+            halve_idx = data[halving]
             if halve_idx.size:
                 new_cwnd, new_ss = halve(
                     self._cwnd[halve_idx], params.min_cwnd_packets
                 )
                 self._cwnd[halve_idx] = new_cwnd
                 self._ssthresh[halve_idx] = new_ss
-            grow_idx = data[clean]
+            grow_idx = data[growing]
             if grow_idx.size:
                 self._cwnd[grow_idx] = grow(
                     self._cwnd[grow_idx],
@@ -440,18 +485,13 @@ class QueuedTransport:
                 )
                 self._cwnd[rto_idx] = new_cwnd
                 self._ssthresh[rto_idx] = new_ss
-                self._rto_until[rto_idx] = self.now + params.min_rto
+                self._rto_until[rto_idx] = now + params.min_rto
                 self._timeouts[rto_idx] += 1
         # Restart the round clock for every due flow (including idle and
         # RTO-stalled ones — their next round begins when the stall ends).
-        paths = self._paths[due]
-        valid = paths >= 0
-        rtt_now = self._path_rtts(paths, valid)
-        start = np.maximum(self.now, self._rto_until[due])
-        self._round_end[due] = start + rtt_now
-        self._round_sent[due] = 0.0
-        self._round_lost[due] = 0.0
-        self._round_marked[due] = 0.0
+        start = np.maximum(now, self._rto_until[due])
+        self._round_end[due] = start + self._rtt[due]
+        self._state[_ROUND, due] = 0.0
 
     def advance_to(self, time: float) -> None:
         """Integrate queue and window dynamics up to ``time``."""
@@ -460,7 +500,7 @@ class QueuedTransport:
         tick = self.params.tick
         while time - self.now > _EPS_TIME:
             if (
-                not self._active.any()
+                not self._slots.size
                 and self.queues.backlog_bytes.sum() <= _EPS_BYTES
             ):
                 # Idle fabric: no window or queue dynamics to integrate,
@@ -483,7 +523,7 @@ class QueuedTransport:
         see those serviced bytes).  Monotonically increasing because
         ``advance_to`` moves ``now`` to each granted wakeup.
         """
-        if self._active.any() or self.queues.backlog_bytes.sum() > _EPS_BYTES:
+        if self._slots.size or self.queues.backlog_bytes.sum() > _EPS_BYTES:
             return self.now + self.params.tick
         return None
 
@@ -491,37 +531,19 @@ class QueuedTransport:
 
     def earliest_active_start(self) -> float | None:
         """Start time of the oldest in-flight flow, or ``None`` if idle."""
-        active_idx = np.flatnonzero(self._active)
-        if active_idx.size == 0:
+        if not self._slots.size:
             return None
-        return float(self._start_times[active_idx].min())
+        return float(self._start_times.min())
 
     def active_rates(self) -> np.ndarray:
-        """Instantaneous pacing rates (bytes/s) of the in-flight flows."""
-        active_idx = np.flatnonzero(self._active)
-        if active_idx.size == 0:
-            return np.empty(0)
-        paths = self._paths[active_idx]
-        valid = paths >= 0
-        rtt = self._path_rtts(paths, valid)
-        stalled = self._rto_until[active_idx] > self.now + _EPS_TIME
-        return np.where(
-            stalled, 0.0, self._cwnd[active_idx] * self.params.mtu_bytes / rtt
-        )
+        """Pacing rates (bytes/s) the next tick applies to the in-flight
+        flows, in slot order: ``cwnd * mtu / base_rtt``, or 0 while a
+        flow is RTO-stalled."""
+        return self._pacing_rates()
 
     def utilization_snapshot(self) -> np.ndarray:
-        """Instantaneous per-link utilisation under current pacing rates."""
-        active_idx = np.flatnonzero(self._active)
-        link_rates = np.zeros(self.num_links)
-        if active_idx.size:
-            paths = self._paths[active_idx]
-            valid = paths >= 0
-            rates = self.active_rates()
-            per_flow = np.repeat(rates, valid.sum(axis=1))
-            link_rates = np.bincount(
-                paths[valid], weights=per_flow, minlength=self.num_links
-            )
-        return link_rates / self.capacities
+        """Per-link utilisation the next tick's pacing rates offer."""
+        return self._offered(self._pacing_rates()) / self.capacities
 
     # --------------------------------------------------------------- report
 
@@ -545,3 +567,17 @@ class QueuedTransport:
             resident_bytes=queues.resident_bytes,
             peak_queue_bytes=self.peak_queue_bytes,
         )
+
+
+def _initial_column(
+    params: CongestionControlConfig, size: float, now: float
+) -> np.ndarray:
+    """The per-flow state column of a flow starting at ``now``."""
+    column = np.zeros(len(_ROWS))
+    column[_ROWS.index("remaining")] = size
+    column[_ROWS.index("cwnd")] = params.initial_cwnd_packets
+    column[_ROWS.index("ssthresh")] = params.max_cwnd_packets
+    column[_ROWS.index("rto_until")] = -np.inf
+    column[_ROWS.index("round_end")] = now + params.base_rtt
+    column[_ROWS.index("start_time")] = now
+    return column

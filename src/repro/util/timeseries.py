@@ -9,6 +9,8 @@ bins, splitting intervals that straddle bin boundaries exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["BinAccumulator", "split_interval_over_bins"]
@@ -31,8 +33,8 @@ def split_interval_over_bins(
         raise ValueError("interval end precedes start")
     if end == start:
         return []
-    first_bin = int(np.floor(start / bin_width))
-    last_bin = int(np.ceil(end / bin_width)) - 1
+    first_bin = math.floor(start / bin_width)
+    last_bin = math.ceil(end / bin_width) - 1
     pieces: list[tuple[int, float]] = []
     for index in range(first_bin, last_bin + 1):
         bin_start = index * bin_width
@@ -107,17 +109,31 @@ class BinAccumulator:
         ``np.add.at`` scatter (the transport sink's keys come from
         ``np.flatnonzero`` and are always unique).  The additions are the
         same either way, so the accumulated floats are bit-identical.
+
+        An interval inside one bin (every queued-transport tick but the
+        few that cross a bin edge) skips building the piece list; its one
+        piece comes from the same expressions as in
+        :func:`split_interval_over_bins`.
         """
         if keys.shape != rates.shape:
             raise ValueError("keys and rates must have equal shape")
         if keys.size == 0 or end <= start:
             return
-        for bin_index, overlap in split_interval_over_bins(start, end, self.bin_width):
+        width = self.bin_width
+        first_bin = math.floor(start / width)
+        if math.ceil(end / width) - 1 == first_bin:
+            bin_start = first_bin * width
+            overlap = min(end, bin_start + width) - max(start, bin_start)
+            pieces = [(first_bin, overlap)] if overlap > 0 else []
+        else:
+            pieces = split_interval_over_bins(start, end, width)
+        for bin_index, overlap in pieces:
             self._ensure_bins(bin_index)
+            column = self._data[:, bin_index]
             if unique_keys:
-                self._data[keys, bin_index] += rates * overlap
+                column[keys] += rates * overlap
             else:
-                np.add.at(self._data[:, bin_index], keys, rates * overlap)
+                np.add.at(column, keys, rates * overlap)
 
     def totals(self) -> np.ndarray:
         """Per-key totals across all bins."""

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cluster.routing import Router
+from repro.cluster.topology import ClusterSpec, ClusterTopology
 from repro.config import SimulationConfig
 from repro.simulation.cc import (
     CC_VARIANTS,
@@ -14,6 +16,7 @@ from repro.simulation.cc import (
     LinkQueues,
     run_incast,
 )
+from repro.simulation.cc.transport import QueuedTransport
 from repro.simulation.cc.cwnd import (
     dctcp_cut,
     dctcp_update_alpha,
@@ -22,6 +25,7 @@ from repro.simulation.cc.cwnd import (
     timeout_collapse,
 )
 from repro.simulation.impls import transport_family, transport_impl_names
+from repro.simulation.transport import TransferMeta
 from strategies import cc_configs
 
 
@@ -134,6 +138,82 @@ class TestLinkQueues:
             residual = queues.conservation_residual()
             scale = np.maximum(queues.enqueued_bytes, 1.0)
             assert np.all(np.abs(residual) <= 1e-9 * scale + 1e-6)
+
+
+class TestPacingRates:
+    """``active_rates`` and ``utilization_snapshot`` report the pacing
+    the next tick actually applies, even while queues add delay."""
+
+    def test_reported_rates_are_the_paced_rates_under_queueing(self):
+        params = CongestionControlConfig()
+        topology = ClusterTopology(ClusterSpec(
+            racks=2, servers_per_rack=16, racks_per_vlan=2, external_hosts=0,
+        ))
+        router = Router(topology)
+        transport = QueuedTransport(topology, impl="dctcp", params=params)
+        victim = 0
+        uplinks = []
+        for src in topology.servers_in_rack(1):
+            path = router.path_links(int(src), victim)
+            uplinks.append(path[0])
+            transport.add_flow(
+                int(src), victim, 256_000.0, path, TransferMeta(kind="incast"),
+            )
+        # 13 ticks into the 16-to-1 burst the victim's downlink holds a
+        # backlog, so the live RTT exceeds the base RTT.
+        transport.advance_to(13 * params.tick)
+        assert transport.queues.backlog_bytes.max() > 30_000.0
+        rates = transport.active_rates()
+        utilization = transport.utilization_snapshot()
+        before = transport.queues.enqueued_bytes[uplinks].copy()
+        transport.advance_to(14 * params.tick)
+        # Each sender's access uplink carries only its own flow and never
+        # drops, so its enqueued bytes over the tick are the paced bytes.
+        paced = (transport.queues.enqueued_bytes[uplinks] - before) / params.tick
+        assert rates == pytest.approx(paced, rel=1e-9)
+        assert utilization[uplinks] * transport.capacities[uplinks] == (
+            pytest.approx(paced, rel=1e-9)
+        )
+
+
+class TestTickReductionOrder:
+    """The compact tick's per-path reductions reproduce NumPy's order
+    over the 8-wide, sentinel-padded path row bit for bit: the pairwise
+    sum of ``sum(axis=1)`` for queueing delays and the sequential
+    product of ``prod(axis=1)`` for survival factors."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_path_sums_and_products_match_row_reductions(self, seed):
+        rng = np.random.default_rng(seed)
+        topology = ClusterTopology(ClusterSpec(
+            racks=4, servers_per_rack=4, racks_per_vlan=2, external_hosts=0,
+        ))
+        transport = QueuedTransport(topology)
+        links = topology.num_links
+        for _ in range(int(rng.integers(1, 60))):
+            hops = int(rng.integers(1, transport.max_path + 1))
+            path = tuple(int(link) for link in rng.integers(0, links, hops))
+            transport.add_flow(0, 1, 1e6, path, TransferMeta(kind="probe"))
+        # Delays spanning many magnitudes, some links idle, so the order
+        # of the additions shows in the last bits.
+        delay = rng.random(links) * 10.0 ** rng.integers(-9, 0, links)
+        delay[rng.random(links) < 0.3] = 0.0
+        keep = 1.0 - rng.random((2, links)) * rng.choice([0.0, 1e-3, 0.5], (2, links))
+        transport._delay[:-1] = delay
+        transport._keep[:links] = keep[0]
+        transport._keep[links + 1 : -1] = keep[1]
+
+        padded = transport._links
+        real = padded < links
+        rows = np.where(real, np.append(delay, 0.0)[padded], 0.0)
+        expected_rtt = transport.params.base_rtt + rows.sum(axis=1)
+        assert np.array_equal(transport._path_rtts(), expected_rtt)
+        factors = transport._keep[transport._keep_index].prod(axis=1)
+        for half in range(2):
+            expected = np.where(
+                real, np.append(keep[half], 1.0)[padded], 1.0
+            ).prod(axis=1)
+            assert np.array_equal(factors[half], expected)
 
 
 class TestRegistry:

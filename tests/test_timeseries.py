@@ -1,8 +1,10 @@
 """Time-binned accumulation, including conservation properties."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.util.timeseries import BinAccumulator, split_interval_over_bins
@@ -131,3 +133,48 @@ class TestBinAccumulator:
             acc.add_interval(0, start, start + length, rate)
             expected += rate * length
         assert acc.totals()[0] == pytest.approx(expected, rel=1e-9, abs=1e-6)
+
+
+class TestOneBinBulkPath:
+    """``add_interval_bulk`` on an interval inside one bin — the queued
+    transports' every tick — equals the ``split_interval_over_bins``
+    loop bit for bit."""
+
+    @pytest.mark.parametrize("unique_keys", [False, True])
+    @pytest.mark.parametrize("width", [0.1, 0.3, 1.0, 7.5])
+    @given(data=st.data())
+    def test_matches_split_loop(self, width, unique_keys, data):
+        num_keys = 5
+        bin_index = data.draw(st.integers(min_value=0, max_value=40))
+        low, high = sorted(
+            data.draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(2)
+        )
+        start = bin_index * width + low * width
+        if data.draw(st.booleans()):
+            end = (bin_index + 1) * width  # ends on the bin edge
+        else:
+            end = bin_index * width + high * width
+        assume(start < end)
+        assume(math.ceil(end / width) - 1 == math.floor(start / width))
+        keys = np.array(data.draw(st.lists(
+            st.integers(min_value=0, max_value=num_keys - 1),
+            min_size=1, max_size=8, unique=unique_keys,
+        )))
+        rates = np.array(data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=1e10),
+            min_size=keys.size, max_size=keys.size,
+        )))
+
+        acc = BinAccumulator(num_keys=num_keys, bin_width=width)
+        acc.add_interval_bulk(keys, rates, start, end, unique_keys=unique_keys)
+
+        pieces = split_interval_over_bins(start, end, width)
+        expected = np.zeros((num_keys, bin_index + 2))
+        for piece, overlap in pieces:
+            if unique_keys:
+                expected[keys, piece] += rates * overlap
+            else:
+                np.add.at(expected[:, piece], keys, rates * overlap)
+        touched = max((piece for piece, _ in pieces), default=-1) + 1
+        assert acc.num_bins == touched
+        assert np.array_equal(acc.matrix(), expected[:, :touched])
