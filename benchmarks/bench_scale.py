@@ -88,8 +88,10 @@ class _ChurnHarness:
     def churn(self, events: int = _EVENTS_PER_ROUND) -> None:
         transport = self.transport
         for _ in range(events):
-            slot = int(self.rng.choice(np.flatnonzero(transport._active)))
-            transport._finish(slot)
+            slots = transport.active_flows().slots
+            slot = int(self.rng.choice(slots))
+            # Retire the flow early: a completion without the drain.
+            transport._finish(np.flatnonzero(slots == slot))
             self._add_one()
             transport.recompute_rates()
 

@@ -138,7 +138,7 @@ class LinkLoadTracker:
         if last_complete < first_bin:
             return 0.0
         links = np.asarray(path_links, dtype=int)
-        window = self._bins.matrix()[links, first_bin : last_complete + 1]
+        window = self._bins.window(links, first_bin, last_complete + 1)
         capacity = self.capacities[links][:, None] * self.bin_width
         return float((window / capacity).max()) if window.size else 0.0
 

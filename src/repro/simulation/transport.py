@@ -11,20 +11,37 @@ A cheaper ``bottleneck`` mode allocates each flow ``capacity / count`` on
 its most contended link without redistributing leftovers; it serves as an
 ablation and a cross-check on the exact allocator.
 
-All per-flow state lives in preallocated numpy arrays indexed by slot so
-that the per-event work — integrating rates into link-load bins and
-re-running the water-filling — is vectorised.  The water-filling itself
-lives in :mod:`repro.simulation.waterfill`, which provides the four
-``impl`` choices surfaced as ``SimulationConfig.transport_impl``:
-``reference`` (the round-based ground-truth loop), ``vectorized`` (the
-bit-identical adaptive heap/CSR replay), ``csr`` (the batched CSR
-elimination pinned regardless of active-set size), and ``incremental``
-(the paper-scale allocator that re-solves only the affected bottleneck
-subgraph on each arrival/departure — tolerance-based, see
-:data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`).  The active
-set's ``(paths, valid)`` view and the allocator's incidence structures
-are cached against a flow-set version counter so consecutive allocation
-passes over an unchanged active set skip the rebuild.
+The water-filling itself lives in :mod:`repro.simulation.waterfill`,
+which provides the four ``impl`` choices surfaced as
+``SimulationConfig.transport_impl``: ``reference`` (the round-based
+ground-truth loop), ``vectorized`` (the bit-identical adaptive heap/CSR
+replay), ``csr`` (the batched CSR elimination pinned regardless of
+active-set size), and ``incremental`` (the paper-scale allocator that
+re-solves only the affected bottleneck subgraph on each
+arrival/departure — tolerance-based, see
+:data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`).
+
+**One maintained active-flow table.**  The transport holds only its
+active flows, one entry each in ascending slot order: a
+:class:`~repro.simulation.waterfill.IncidenceTable` (the slots, each
+slot's links, each link's slots in ascending order and per-link
+counts), a path table padded with the sentinel link ``num_links``, and
+one float row per flow (remaining bytes, rate, start time).  Only
+:meth:`FluidTransport.add_flow` and the completion of drained flows
+change it, each by one splice; nothing is rebuilt per allocation or per
+integration step.  The exact heap regime reads the table's per-link
+counts and slot lists directly; the other allocators take the
+``-1``-padded ``(paths, valid)`` pair derived from the path table.  A
+slot is a flow's stable id, reused last-freed-first, else the next
+unused one.
+
+Every per-flow reduction has one fixed order, which the pinned output
+digests depend on: ascending slot order.  ``advance_to``'s ``bincount``
+adds the per-link rates flow by flow in slot order, each flow's hops in
+path order (the sentinel padding lands in a bin that is dropped), the
+heap regime sums each round's per-link consumption in slot order, and
+drained flows finish in slot order.  :meth:`FluidTransport.active_flows`
+is the read-only view of the table for checkers, tests and benchmarks.
 
 Completion scheduling is structure-of-arrays: instead of per-transfer
 event objects, the transport keeps a **completion frontier** — the next
@@ -46,14 +63,14 @@ import numpy as np
 from ..cluster.topology import ClusterTopology
 from .impls import register_transport_impl
 from .waterfill import (
-    FlowIncidence,
+    IncidenceTable,
     IncrementalMaxMin,
     bottleneck_rates,
     maxmin_rates_reference,
     maxmin_rates_vectorized,
 )
 
-__all__ = ["TransferMeta", "Transfer", "FluidTransport", "LoadSink"]
+__all__ = ["ActiveFlows", "TransferMeta", "Transfer", "FluidTransport", "LoadSink"]
 
 #: Accepted ``impl`` constructor values (mirrored by
 #: ``SimulationConfig.transport_impl``; registered in the shared
@@ -135,6 +152,25 @@ class Transfer:
         return self.size / duration if duration > 0 else float("inf")
 
 
+@dataclass(frozen=True)
+class ActiveFlows:
+    """Read-only snapshot of a fluid transport's in-flight flows.
+
+    One entry per flow in ascending slot order: the order of every
+    per-flow reduction in the transport and the allocators.  ``paths``
+    holds each flow's links in path order, padded with ``-1``, and
+    ``valid`` marks the real hops: the ``(paths, valid)`` pair every
+    allocator in :mod:`repro.simulation.waterfill` accepts.
+    """
+
+    slots: np.ndarray
+    paths: np.ndarray
+    valid: np.ndarray
+    rates: np.ndarray
+    remaining: np.ndarray
+    start_times: np.ndarray
+
+
 class FluidTransport:
     """Shared-bandwidth fluid flow simulator over a cluster topology."""
 
@@ -146,7 +182,6 @@ class FluidTransport:
         topology: ClusterTopology,
         sinks: list[LoadSink] | None = None,
         fairness: str = "maxmin",
-        initial_capacity: int = 256,
         impl: str = "vectorized",
     ) -> None:
         if fairness not in ("maxmin", "bottleneck"):
@@ -161,28 +196,27 @@ class FluidTransport:
         self.num_links = topology.num_links
         self.max_path = 8
 
-        size = max(16, initial_capacity)
-        self._paths = np.full((size, self.max_path), -1, dtype=np.int64)
-        self._remaining = np.zeros(size, dtype=float)
-        self._rates = np.zeros(size, dtype=float)
-        self._active = np.zeros(size, dtype=bool)
-        self._meta: list[TransferMeta | None] = [None] * size
-        self._on_complete: list[Callable[[Transfer], None] | None] = [None] * size
-        self._src = np.zeros(size, dtype=np.int64)
-        self._dst = np.zeros(size, dtype=np.int64)
-        self._sizes = np.zeros(size, dtype=float)
-        self._start_times = np.zeros(size, dtype=float)
-        self._free_slots: list[int] = list(range(size - 1, -1, -1))
+        # Slots are stable flow ids: a finished flow's slot is reused
+        # first (last freed, first reused), else the next unused one.
+        # Ascending slot order is the order of every per-flow reduction.
+        self._free_slots: list[int] = []
+        #: Per slot: (src, dst, size, meta, on_complete) of an active flow.
+        self._flow_info: list[
+            tuple[int, int, float, TransferMeta,
+                  Callable[[Transfer], None] | None] | None
+        ] = []
+        #: The active slots in ascending order, each slot's links and
+        #: each link's slots, updated by ``add_flow`` and completion; the
+        #: exact heap regime reads it instead of rebuilding an incidence.
+        self._incidence = IncidenceTable(self.num_links)
+        # The rest of the compact active-flow state, one row per active
+        # flow in the table's slot order (see ``_set_active``).
+        self._set_active(
+            np.empty((0, self.max_path), dtype=np.int64), np.empty((0, 3))
+        )
 
         self.now = 0.0
         self.rates_dirty = False
-        #: Bumped whenever the active flow set changes; keys the cached
-        #: active view and the allocator's incidence structures.
-        self._flows_version = 0
-        self._view_version = -1
-        self._view: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._incidence_version = -1
-        self._incidence: FlowIncidence | None = None
         self._completed_buffer: list[tuple[Transfer, Callable[[Transfer], None] | None]] = []
         self._next_transfer_id = 0
         self.transfers_started = 0
@@ -203,7 +237,7 @@ class FluidTransport:
         self.rates_epoch = 0
         self._frontier_epoch = -1
         self._frontier_times: np.ndarray = np.empty(0)
-        self._frontier_slots: np.ndarray = np.empty(0, dtype=np.int64)
+        self._frontier_slots: list[int] = []
         self._frontier_pos = 0
         self._frontier_truncated = False
         #: Slot/time of the earliest completion at the epoch rebuild; the
@@ -213,26 +247,53 @@ class FluidTransport:
         self._frontier_head_time = 0.0
         self.frontier_rebuilds = 0
 
-    # ---------------------------------------------------------------- slots
+    # ---------------------------------------------------------- active set
 
-    def _grow(self) -> None:
-        old = self._paths.shape[0]
-        new = old * 2
-        self._paths = np.vstack(
-            [self._paths, np.full((old, self.max_path), -1, dtype=np.int64)]
-        )
-        for name in ("_remaining", "_rates", "_src", "_dst", "_sizes", "_start_times"):
-            array = getattr(self, name)
-            setattr(self, name, np.concatenate([array, np.zeros(old, dtype=array.dtype)]))
-        self._active = np.concatenate([self._active, np.zeros(old, dtype=bool)])
-        self._meta.extend([None] * old)
-        self._on_complete.extend([None] * old)
-        self._free_slots.extend(range(new - 1, old - 1, -1))
+    def _set_active(self, links: np.ndarray, state: np.ndarray) -> None:
+        """Install the path table and the per-flow float rows."""
+        #: Path rows padded with the sentinel link ``num_links``, whose
+        #: bincount bin is dropped, so padding adds to no real link.
+        self._links = links
+        #: Per flow: remaining bytes, allocated rate, start time.
+        self._state = state
+        self._remaining = state[:, 0]
+        self._rates = state[:, 1]
+        self._start_times = state[:, 2]
+
+    def _padded_paths(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(paths, valid)`` of the active flows, padded with ``-1``."""
+        valid = self._links != self.num_links
+        return np.where(valid, self._links, -1), valid
+
+    def _link_rates(self) -> np.ndarray:
+        """Bytes/s per link under the current rates.
+
+        ``bincount`` adds flow by flow in slot order, each flow's hops in
+        path order; the padding lands in the sentinel bin, dropped here.
+        """
+        return np.bincount(
+            self._links.ravel(),
+            weights=np.repeat(self._rates, self.max_path),
+            minlength=self.num_links + 1,
+        )[: self.num_links]
 
     @property
     def active_count(self) -> int:
         """Number of in-flight flows."""
-        return int(self._active.sum())
+        return len(self._incidence.slots)
+
+    def active_flows(self) -> ActiveFlows:
+        """Snapshot of the in-flight flows (copies; reading it changes
+        nothing in the transport)."""
+        paths, valid = self._padded_paths()
+        return ActiveFlows(
+            slots=np.array(self._incidence.slots, dtype=np.int64),
+            paths=paths,
+            valid=valid,
+            rates=self._rates.copy(),
+            remaining=self._remaining.copy(),
+            start_times=self._start_times.copy(),
+        )
 
     # ---------------------------------------------------------------- flows
 
@@ -256,59 +317,36 @@ class FluidTransport:
             raise ValueError("flow path must cross at least one link")
         if len(path_links) > self.max_path:
             raise ValueError("path exceeds transport's max path length")
-        if not self._free_slots:
-            self._grow()
-        slot = self._free_slots.pop()
-        self._paths[slot, :] = -1
-        self._paths[slot, : len(path_links)] = path_links
-        self._remaining[slot] = size
-        self._rates[slot] = 0.0
-        self._active[slot] = True
-        self._meta[slot] = meta
-        self._on_complete[slot] = on_complete
-        self._src[slot] = src
-        self._dst[slot] = dst
-        self._sizes[slot] = size
-        self._start_times[slot] = self.now
+        if self._free_slots:
+            slot = self._free_slots.pop()
+        else:
+            slot = len(self._flow_info)
+            self._flow_info.append(None)
+        self._flow_info[slot] = (int(src), int(dst), float(size), meta, on_complete)
+        at = self._incidence.add(slot, path_links)
+        links = [*path_links, *[self.num_links] * (self.max_path - len(path_links))]
+        self._set_active(
+            _insert_row(self._links, at, links),
+            _insert_row(self._state, at, (size, 0.0, self.now)),
+        )
         if self._inc is not None:
             self._inc.on_add(slot, path_links)
         self.rates_dirty = True
-        self._flows_version += 1
         self.transfers_started += 1
-        active = self.transfers_started - self._next_transfer_id
+        active = len(self._incidence.slots)
         if active > self.peak_active:
             self.peak_active = active
         return slot
-
-    def _active_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached ``(active_idx, paths, valid)`` for the current flow set.
-
-        ``paths``/``valid`` depend only on active-set membership, not on
-        rates or remaining bytes, so the gather is reused across every
-        rate integration and allocation pass between flow arrivals and
-        completions.
-        """
-        if self._view_version != self._flows_version or self._view is None:
-            active_idx = np.flatnonzero(self._active)
-            paths = self._paths[active_idx]
-            self._view = (active_idx, paths, paths >= 0)
-            self._view_version = self._flows_version
-        return self._view
 
     def advance_to(self, time: float) -> None:
         """Integrate current rates up to ``time`` and complete drained flows."""
         if time < self.now - 1e-9:
             raise ValueError("cannot advance backwards")
         dt = time - self.now
-        active_idx, paths, valid = self._active_view()
-        if dt > 0 and active_idx.size:
-            rates = self._rates[active_idx]
+        active = len(self._incidence.slots)
+        if dt > 0 and active:
             if self.sinks:
-                link_ids = paths[valid]
-                per_flow = np.repeat(rates, valid.sum(axis=1))
-                link_rates = np.bincount(
-                    link_ids, weights=per_flow, minlength=self.num_links
-                )
+                link_rates = self._link_rates()
                 loaded = np.flatnonzero(link_rates)
                 if loaded.size:
                     for sink in self.sinks:
@@ -316,38 +354,48 @@ class FluidTransport:
                             loaded, link_rates[loaded], self.now, time,
                             unique_keys=True,
                         )
-            self._remaining[active_idx] = np.maximum(
-                self._remaining[active_idx] - rates * dt, 0.0
-            )
+            remaining = self._remaining
+            np.maximum(remaining - self._rates * dt, 0.0, out=remaining)
         self.now = max(self.now, time)
-        if active_idx.size:
-            drained = active_idx[self._remaining[active_idx] <= _EPS_BYTES]
-            for slot in drained:
-                self._finish(int(slot))
+        if active:
+            drained = np.flatnonzero(self._remaining <= _EPS_BYTES)
+            if drained.size:
+                self._finish(drained)
 
-    def _finish(self, slot: int) -> None:
-        meta = self._meta[slot]
-        assert meta is not None
-        transfer = Transfer(
-            transfer_id=self._next_transfer_id,
-            src=int(self._src[slot]),
-            dst=int(self._dst[slot]),
-            size=float(self._sizes[slot]),
-            start_time=float(self._start_times[slot]),
-            end_time=self.now,
-            meta=meta,
+    def _finish(self, drained: np.ndarray) -> None:
+        """Complete the active flows at ``drained`` (ascending positions).
+
+        Flows finish in slot order, so transfer ids, the incremental
+        allocator's releases and the free-slot stack see one fixed order.
+        """
+        positions = drained.tolist()
+        slots = self._incidence.slots
+        finished = [slots[position] for position in positions]
+        starts = self._start_times[drained].tolist()
+        for slot, start in zip(finished, starts):
+            info = self._flow_info[slot]
+            assert info is not None
+            src, dst, size, meta, on_complete = info
+            transfer = Transfer(
+                transfer_id=self._next_transfer_id,
+                src=src,
+                dst=dst,
+                size=size,
+                start_time=start,
+                end_time=self.now,
+                meta=meta,
+            )
+            self._completed_buffer.append((transfer, on_complete))
+            self._next_transfer_id += 1
+            if self._inc is not None:
+                self._inc.on_remove(slot)
+            self._incidence.remove(slot)
+            self._flow_info[slot] = None
+            self._free_slots.append(slot)
+        self._set_active(
+            _drop_rows(self._links, positions), _drop_rows(self._state, positions)
         )
-        self._completed_buffer.append((transfer, self._on_complete[slot]))
-        self._next_transfer_id += 1
-        if self._inc is not None:
-            self._inc.on_remove(slot)
-        self._active[slot] = False
-        self._rates[slot] = 0.0
-        self._meta[slot] = None
-        self._on_complete[slot] = None
-        self._free_slots.append(slot)
         self.rates_dirty = True
-        self._flows_version += 1
 
     def pop_completed(
         self,
@@ -365,41 +413,29 @@ class FluidTransport:
         """Re-run the fair-share allocation for the current active set."""
         self.rate_recomputes += 1
         self.rates_epoch += 1
-        active_idx, paths, valid = self._active_view()
-        if active_idx.size == 0:
+        if not self._incidence.slots:
             self.rates_dirty = False
             return
         if self.fairness == "maxmin":
-            rates = self._maxmin_rates(active_idx, paths, valid)
+            rates = self._maxmin_rates()
         else:
-            rates = self._bottleneck_rates(paths, valid)
-        self._rates[active_idx] = np.maximum(rates, _MIN_RATE)
+            rates = bottleneck_rates(
+                *self._padded_paths(), self.capacities, self.num_links
+            )
+        np.maximum(rates, _MIN_RATE, out=self._rates)
         self.rates_dirty = False
 
-    def _flow_incidence(self, paths: np.ndarray, valid: np.ndarray) -> FlowIncidence:
-        """Incidence structures for the current active set, version-cached."""
-        if (
-            self._incidence_version != self._flows_version
-            or self._incidence is None
-            or self._incidence.paths is not paths
-        ):
-            self._incidence = FlowIncidence(
-                paths, valid, self.capacities, self.num_links
-            )
-            self._incidence_version = self._flows_version
-        return self._incidence
-
-    def _maxmin_rates(
-        self, active_idx: np.ndarray, paths: np.ndarray, valid: np.ndarray
-    ) -> np.ndarray:
+    def _maxmin_rates(self) -> np.ndarray:
         """Max-min fair allocation via the configured allocator.
 
         All implementations live in :mod:`repro.simulation.waterfill`.
         ``reference``, ``vectorized``, and ``csr`` produce bit-identical
         rates; ``incremental`` re-solves only the affected bottleneck
         subgraph and is equivalent within
-        :data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`.
+        :data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`.  The heap
+        regime reads the maintained incidence table.
         """
+        paths, valid = self._padded_paths()
         if self.impl == "reference":
             return maxmin_rates_reference(
                 paths, valid, self.capacities, self.num_links
@@ -407,23 +443,17 @@ class FluidTransport:
         if self.impl == "incremental":
             assert self._inc is not None
             return self._inc.solve(
-                active_idx,
-                paths,
-                valid,
-                incidence=self._flow_incidence(paths, valid),
+                np.array(self._incidence.slots, dtype=np.int64), paths, valid,
+                table=self._incidence,
             )
         return maxmin_rates_vectorized(
             paths,
             valid,
             self.capacities,
             self.num_links,
-            incidence=self._flow_incidence(paths, valid),
             regime="csr" if self.impl == "csr" else "auto",
+            table=self._incidence,
         )
-
-    def _bottleneck_rates(self, paths: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        """Equal split on each link; flow rate = min share along its path."""
-        return bottleneck_rates(paths, valid, self.capacities, self.num_links)
 
     # ------------------------------------------------------------- frontier
 
@@ -439,15 +469,15 @@ class FluidTransport:
         exhausted after a truncation) keep the original head.
         """
         self.frontier_rebuilds += 1
-        active_idx = self._active_view()[0]
-        if active_idx.size == 0:
+        slots = self._incidence.slots
+        active = len(slots)
+        if active == 0:
             horizons = np.empty(0)
             sel = np.empty(0, dtype=np.int64)
         else:
-            rates = self._rates[active_idx]
-            remaining = self._remaining[active_idx]
+            rates = self._rates
             with np.errstate(divide="ignore"):
-                horizons = np.where(rates > 0, remaining / rates, np.inf)
+                horizons = np.where(rates > 0, self._remaining / rates, np.inf)
             if horizons.size > _FRONTIER_DEPTH:
                 sel = np.argpartition(horizons, _FRONTIER_DEPTH - 1)[:_FRONTIER_DEPTH]
             else:
@@ -455,18 +485,22 @@ class FluidTransport:
             sel = sel[np.argsort(horizons[sel], kind="stable")]
             sel = sel[np.isfinite(horizons[sel])]
         self._frontier_times = self.now + horizons[sel]
-        self._frontier_slots = active_idx[sel] if sel.size else sel
+        self._frontier_slots = [slots[position] for position in sel.tolist()]
         self._frontier_pos = 0
-        self._frontier_truncated = active_idx.size > sel.size and bool(
+        self._frontier_truncated = active > sel.size and bool(
             sel.size == _FRONTIER_DEPTH
         )
         self._frontier_epoch = self.rates_epoch
         if set_head:
             if sel.size:
-                self._frontier_head_slot = int(self._frontier_slots[0])
+                self._frontier_head_slot = self._frontier_slots[0]
                 self._frontier_head_time = float(self._frontier_times[0])
             else:
                 self._frontier_head_slot = -1
+
+    def _occupied(self, slot: int) -> bool:
+        """Whether ``slot`` holds an in-flight flow."""
+        return self._flow_info[slot] is not None
 
     def next_completion_time(self) -> float | None:
         """Earliest time an active flow drains at current rates, or ``None``."""
@@ -474,9 +508,9 @@ class FluidTransport:
             self._rebuild_frontier(set_head=True)
         for _ in range(2):
             times, slots = self._frontier_times, self._frontier_slots
-            while self._frontier_pos < times.size:
+            while self._frontier_pos < len(slots):
                 pos = self._frontier_pos
-                if self._active[slots[pos]]:
+                if self._occupied(slots[pos]):
                     return max(float(times[pos]), self.now)
                 self._frontier_pos += 1
             if not self._frontier_truncated:
@@ -498,7 +532,7 @@ class FluidTransport:
         if self._frontier_epoch != self.rates_epoch:
             self._rebuild_frontier(set_head=True)
         head = self._frontier_head_slot
-        if head < 0 or not self._active[head]:
+        if head < 0 or not self._occupied(head):
             return None
         return max(self._frontier_head_time, self.now)
 
@@ -512,22 +546,31 @@ class FluidTransport:
         no future completion can emit an event before the oldest active
         flow's start time (minus clock skew).
         """
-        active_idx = self._active_view()[0]
-        if active_idx.size == 0:
+        if not self._incidence.slots:
             return None
-        return float(self._start_times[active_idx].min())
+        return float(self._start_times.min())
 
     def active_rates(self) -> np.ndarray:
         """Current allocated rates (bytes/s) of the in-flight flows."""
-        return self._rates[np.flatnonzero(self._active)].copy()
+        return self._rates.copy()
 
     def utilization_snapshot(self) -> np.ndarray:
         """Instantaneous per-link utilisation under current rates."""
-        active_idx, paths, valid = self._active_view()
-        link_rates = np.zeros(self.num_links)
-        if active_idx.size:
-            per_flow = np.repeat(self._rates[active_idx], valid.sum(axis=1))
-            link_rates = np.bincount(
-                paths[valid], weights=per_flow, minlength=self.num_links
-            )
-        return link_rates / self.capacities
+        return self._link_rates() / self.capacities
+
+
+def _insert_row(array: np.ndarray, at: int, row) -> np.ndarray:
+    """``array`` with ``row`` inserted before row ``at``."""
+    out = np.empty((array.shape[0] + 1, *array.shape[1:]), dtype=array.dtype)
+    out[:at] = array[:at]
+    out[at] = row
+    out[at + 1 :] = array[at:]
+    return out
+
+
+def _drop_rows(array: np.ndarray, positions: list[int]) -> np.ndarray:
+    """``array`` without the rows at the ascending ``positions``."""
+    bounds = [-1, *positions, array.shape[0]]
+    return np.concatenate(
+        [array[start + 1 : end] for start, end in zip(bounds, bounds[1:])]
+    )

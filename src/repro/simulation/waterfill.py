@@ -22,10 +22,14 @@ holds the three interchangeable implementations:
     incidences rather than ``rounds x flows``.  Two regimes:
 
     * **small active sets** (the common campaign case): a lazy min-heap
-      of link shares drives the rounds entirely in Python.  Saturated
-      links pop off the heap in increasing share order, so the first
-      saturated link that reaches a flow *is* that flow's bottleneck —
-      no per-flow minimisation at all.
+      of link shares drives the rounds entirely in Python, reading an
+      :class:`IncidenceTable`.  Saturated links pop off the heap in
+      increasing share order, so the first saturated link that reaches
+      a flow *is* that flow's bottleneck — no per-flow minimisation at
+      all.  This is the one heap loop: the fluid transport hands it the
+      table it maintains across arrivals and completions, and callers
+      that pass ``(paths, valid)`` (sub-solves, checkers, tests) get a
+      table built once for the call.
     * **large active sets** (``>= _CSR_FLOW_THRESHOLD``): a batched
       fixed-point elimination over a compacted link x flow incidence
       array (CSR-style ``flat``/``indptr``), where each round masks the
@@ -57,21 +61,25 @@ holds the three interchangeable implementations:
     the ``transport.incremental_equivalence`` checker in
     :mod:`repro.validate`.
 
-The :class:`FlowIncidence` cache holds the per-active-set structures
-(flat incidence arrays, link->flow adjacency, initial shares) keyed by
-the transport's flow-set version, so back-to-back recomputations — e.g.
-a barrier phase releasing shuffle flows over several event batches —
-skip the rebuild.
+The :class:`IncidenceTable` is the flow/link incidence of an active
+set: the active slots in ascending order, each slot's links in path
+order, each link's slots in ascending order and per-link counts.  The
+fluid transport keeps one for its whole run and updates it on every
+``add_flow`` and completion, so a recompute after one or two arrivals
+reads the table instead of rebuilding per-link lists from scratch.  The
+heap regime sums each round's per-link consumption in ascending slot
+order, the order the reference's ``np.bincount`` adds its flow rows in.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 __all__ = [
-    "FlowIncidence",
+    "IncidenceTable",
     "IncrementalMaxMin",
     "INCREMENTAL_RTOL",
     "bottleneck_rates",
@@ -166,80 +174,73 @@ def maxmin_rates_reference(
 # --------------------------------------------------------------- incidence
 
 
-class FlowIncidence:
-    """Per-active-set structures shared across recomputations.
+class IncidenceTable:
+    """Flow/link incidence of one active flow set, kept by add and remove.
 
-    Everything here is a pure function of ``(paths, valid, capacities)``;
-    the transport caches an instance keyed by its flow-set version so
-    consecutive allocation passes over an unchanged active set skip the
-    rebuild.  The Python adjacency lists used by the heap regime are
-    built lazily — the CSR regime never pays for them.
+    ``slots`` lists the active flows' slots in ascending order;
+    ``slot_links[slot]`` is the flow's links in path order (``None`` for
+    a free slot); ``link_slots[link]`` lists the slots crossing ``link``
+    in ascending order, and ``counts[link]`` is its length.  The fluid
+    transport keeps one table for its whole run, updating it on every
+    arrival and completion, so an allocation reads the incidence instead
+    of rebuilding it.  :meth:`from_paths` builds a table for a one-off
+    ``(paths, valid)`` problem, whose rows are its slots.  The heap
+    regime only reads a table, never writes it.
     """
 
-    __slots__ = (
-        "paths",
-        "valid",
-        "num_flows",
-        "lens",
-        "flat",
-        "counts0",
-        "_cap_list",
-        "_share0_list",
-        "_heap0",
-        "_flow_links",
-        "_link_flows",
-    )
+    __slots__ = ("num_links", "slots", "slot_links", "link_slots", "counts")
 
-    def __init__(
-        self, paths: np.ndarray, valid: np.ndarray, capacities: np.ndarray,
-        num_links: int,
-    ) -> None:
-        self.paths = paths
-        self.valid = valid
-        self.num_flows = paths.shape[0]
-        self.lens = valid.sum(axis=1)
-        self.flat = paths[valid]
-        self.counts0 = np.bincount(self.flat, minlength=num_links).astype(float)
-        self._cap_list: list[float] | None = None
-        self._share0_list: list[float] | None = None
-        self._heap0: list[tuple[float, int]] | None = None
-        self._flow_links: list[list[int]] | None = None
-        self._link_flows: list[list[int]] | None = None
+    def __init__(self, num_links: int) -> None:
+        self.num_links = num_links
+        self.slots: list[int] = []
+        self.slot_links: list[list[int] | None] = []
+        self.link_slots: list[list[int]] = [[] for _ in range(num_links)]
+        self.counts: list[int] = [0] * num_links
 
-    def heap_state(
-        self, capacities: np.ndarray, num_links: int
-    ) -> tuple[list, list, list, list, list, list]:
-        """Fresh per-call state for the heap regime (lists are copied)."""
-        if self._flow_links is None:
-            share0 = np.full(num_links, _INF)
-            np.divide(
-                capacities, self.counts0, out=share0, where=self.counts0 > 0
-            )
-            share0_list = share0.tolist()
-            heap0 = [(s, l) for l, s in enumerate(share0_list) if s < _INF]
-            heapify(heap0)
-            flow_links: list[list[int]] = []
-            link_flows: list[list[int]] = [[] for _ in range(num_links)]
-            rows = self.paths.tolist()
-            lens = self.lens.tolist()
-            for flow, row in enumerate(rows):
-                links = row[: lens[flow]]
-                flow_links.append(links)
-                for link in links:
-                    link_flows[link].append(flow)
-            self._cap_list = capacities.astype(float).tolist()
-            self._share0_list = share0_list
-            self._heap0 = heap0
-            self._flow_links = flow_links
-            self._link_flows = link_flows
-        return (
-            self.counts0.tolist(),
-            list(self._cap_list),
-            list(self._share0_list),
-            list(self._heap0),
-            self._flow_links,
-            self._link_flows,
-        )
+    @classmethod
+    def from_paths(
+        cls, paths: np.ndarray, valid: np.ndarray, num_links: int
+    ) -> "IncidenceTable":
+        """Table of the rows of a ``-1``-padded ``(paths, valid)`` pair."""
+        table = cls(num_links)
+        lens = valid.sum(axis=1).tolist()
+        link_slots = table.link_slots
+        slot_links = table.slot_links
+        for slot, row in enumerate(paths.tolist()):
+            links = row[: lens[slot]]
+            slot_links.append(links)
+            for link in links:
+                link_slots[link].append(slot)
+        table.slots = list(range(len(slot_links)))
+        table.counts = [len(crossing) for crossing in link_slots]
+        return table
+
+    def add(self, slot: int, links) -> int:
+        """Register the flow in the free ``slot``, crossing ``links``;
+        returns the slot's position in :attr:`slots`."""
+        links = [int(link) for link in links]
+        if slot >= len(self.slot_links):
+            self.slot_links.extend([None] * (slot + 1 - len(self.slot_links)))
+        self.slot_links[slot] = links
+        at = bisect_left(self.slots, slot)
+        self.slots.insert(at, slot)
+        counts = self.counts
+        link_slots = self.link_slots
+        for link in links:
+            insort(link_slots[link], slot)
+            counts[link] += 1
+        return at
+
+    def remove(self, slot: int) -> None:
+        """Unregister the flow in ``slot``."""
+        links = self.slot_links[slot]
+        self.slot_links[slot] = None
+        self.slots.remove(slot)
+        counts = self.counts
+        link_slots = self.link_slots
+        for link in links:
+            link_slots[link].remove(slot)
+            counts[link] -= 1
 
 
 # --------------------------------------------------------------- vectorized
@@ -250,8 +251,8 @@ def maxmin_rates_vectorized(
     valid: np.ndarray,
     capacities: np.ndarray,
     num_links: int,
-    incidence: FlowIncidence | None = None,
     regime: str = "auto",
+    table: IncidenceTable | None = None,
 ) -> np.ndarray:
     """Bit-identical fast replay of :func:`maxmin_rates_reference`.
 
@@ -261,50 +262,65 @@ def maxmin_rates_vectorized(
     floats of the reference loop, so the choice never shows up in an
     event log.  ``regime`` forces one path ("heap" or "csr") — that is
     how ``transport_impl = "csr"`` pins the batched elimination for
-    differential tests regardless of the active-set size.
+    differential tests regardless of the active-set size.  ``table``
+    is a maintained :class:`IncidenceTable` whose ascending slots are
+    exactly the rows of ``paths``; without one the heap regime builds
+    it from ``(paths, valid)`` for this call.
     """
-    if paths.shape[0] == 0:
+    num_flows = paths.shape[0]
+    if num_flows == 0:
         return np.zeros(0)
-    if incidence is None:
-        incidence = FlowIncidence(paths, valid, capacities, num_links)
     if regime == "csr" or (
-        regime == "auto" and incidence.num_flows >= _CSR_FLOW_THRESHOLD
+        regime == "auto" and num_flows >= _CSR_FLOW_THRESHOLD
     ):
-        return _maxmin_csr(paths, valid, capacities, num_links, incidence)
-    return _maxmin_heap(paths, valid, capacities, num_links, incidence)
+        return _maxmin_csr(paths, valid, capacities, num_links)
+    if table is None:
+        table = IncidenceTable.from_paths(paths, valid, num_links)
+    return _maxmin_heap(table, capacities)
 
 
-def _maxmin_heap(
-    paths: np.ndarray,
-    valid: np.ndarray,
-    capacities: np.ndarray,
-    num_links: int,
-    incidence: FlowIncidence,
-) -> np.ndarray:
-    """Heap-driven replay of the reference rounds, all in Python.
+def _maxmin_heap(table: IncidenceTable, capacities: np.ndarray) -> np.ndarray:
+    """Heap-driven replay of the reference rounds over an incidence table.
 
     A lazy min-heap of ``(share, link)`` supplies each round's level and
     its saturated links *in increasing share order* — so the first
     saturated link that reaches a flow is that flow's tightest saturated
     link, and the flow's rate is read off directly.  Stale heap entries
     (links whose share has since changed) are discarded on pop by
-    comparing against the live share table.  Per-link consumption is
-    accumulated in increasing flow order and applied once per round,
-    matching the reference's ``np.bincount`` summation order so the
-    floating-point results are identical.
+    comparing against the live share table.  Each round's per-link
+    consumption is summed in ascending slot order — the order of the
+    reference's ``np.bincount`` over its flow rows — and applied once,
+    so the floating-point results are identical.  Integer link counts
+    divide to the same floats the reference's float counts do.  The
+    table is only read: every per-call state is a fresh list.
     """
-    num_flows = paths.shape[0]
-    counts, remaining, share, heap, flow_links, link_flows = (
-        incidence.heap_state(capacities, num_links)
-    )
-    rates_out = [0.0] * num_flows
-    unassigned = [True] * num_flows
-    num_unassigned = num_flows
-    rounds_left = num_links + 1
+    slots = table.slots
+    slot_links = table.slot_links
+    link_slots = table.link_slots
+    num_links = table.num_links
+    counts = list(table.counts)
+    remaining = capacities.astype(float).tolist()
+    share = [_INF] * num_links
+    heap = [
+        (remaining[link] / count, link)
+        for link, count in enumerate(counts)
+        if count
+    ]
+    for s, link in heap:
+        share[link] = s
+    heapify(heap)
+    # Per slot: its rate once assigned, None before.
+    rate_of: list[float | None] = [None] * len(slot_links)
+    # Per link: this round's consumption, valid where ``stamp`` holds
+    # the round number.
+    consumed = [0.0] * num_links
+    stamp = [-1] * num_links
+    num_unassigned = len(slots)
     pop = heappop
     push = heappush
-    while rounds_left > 0 and num_unassigned > 0:
-        rounds_left -= 1
+    for round_ in range(num_links + 1):
+        if num_unassigned == 0:
+            break
         while heap:
             level, link = heap[0]
             if share[link] == level:
@@ -321,44 +337,55 @@ def _maxmin_heap(
                 break
             pop(heap)
             if share[link] == s:
-                for flow in link_flows[link]:
-                    if unassigned[flow]:
-                        unassigned[flow] = False
-                        rates_out[flow] = s
-                        append(flow)
+                for slot in link_slots[link]:
+                    if rate_of[slot] is None:
+                        rate_of[slot] = s
+                        append(slot)
         if not cand:
             break
         cand.sort()
         num_unassigned -= len(cand)
-        consumed: dict[int, float] = {}
-        cget = consumed.get
-        for flow in cand:
-            rate = rates_out[flow]
-            for link in flow_links[flow]:
-                counts[link] -= 1.0
-                total = cget(link)
-                consumed[link] = rate if total is None else total + rate
-        for link, total in consumed.items():
-            left = remaining[link] - total
-            if left < 0.0:
-                left = 0.0
-            remaining[link] = left
+        touched: list[int] = []
+        touch = touched.append
+        for slot in cand:
+            rate = rate_of[slot]
+            for link in slot_links[slot]:
+                counts[link] -= 1
+                if stamp[link] == round_:
+                    consumed[link] += rate
+                else:
+                    stamp[link] = round_
+                    consumed[link] = rate
+                    touch(link)
+        for link in touched:
             count = counts[link]
-            if count > 0.0:
+            if count:
+                left = remaining[link] - consumed[link]
+                if left < 0.0:
+                    left = 0.0
+                remaining[link] = left
                 s = left / count
                 share[link] = s
                 push(heap, (s, link))
             else:
+                # No unassigned flow crosses the link any more.
                 share[link] = _INF
-    rates = np.array(rates_out)
     if num_unassigned > 0:
-        rem = np.array(
-            [f for f in range(num_flows) if unassigned[f]], dtype=np.int64
+        # Flows left unassigned get their bottleneck share directly.
+        rem = [slot for slot in slots if rate_of[slot] is None]
+        paths = np.full(
+            (len(rem), max(len(slot_links[slot]) for slot in rem)), -1,
+            dtype=np.int64,
         )
-        rates[rem] = bottleneck_rates(
-            paths[rem], valid[rem], capacities, num_links
-        )
-    return rates
+        for row, slot in enumerate(rem):
+            links = slot_links[slot]
+            paths[row, : len(links)] = links
+        fallback = bottleneck_rates(
+            paths, paths >= 0, capacities, num_links
+        ).tolist()
+        for slot, rate in zip(rem, fallback):
+            rate_of[slot] = rate
+    return np.array([rate_of[slot] for slot in slots])
 
 
 def _maxmin_csr(
@@ -366,7 +393,6 @@ def _maxmin_csr(
     valid: np.ndarray,
     capacities: np.ndarray,
     num_links: int,
-    incidence: FlowIncidence,
 ) -> np.ndarray:
     """Batched elimination over a compacted link x flow incidence array.
 
@@ -379,9 +405,9 @@ def _maxmin_csr(
     bit-identical.
     """
     num_flows = paths.shape[0]
-    lens = incidence.lens
-    flat = incidence.flat
-    counts = incidence.counts0.copy()
+    lens = valid.sum(axis=1)
+    flat = paths[valid]
+    counts = np.bincount(flat, minlength=num_links).astype(float)
     remaining_cap = capacities.astype(float).copy()
     rates = np.zeros(num_flows)
     ids = np.arange(num_flows)
@@ -517,11 +543,10 @@ class IncrementalMaxMin:
 
     Per-link consumption is re-derived from the live rates at the top
     of every solve, so accounting noise never compounds.  All state is
-    slot-indexed to match
-    :class:`~repro.simulation.transport.FluidTransport`, and the solve
-    machinery gathers subproblems from slot-indexed path arrays so the
-    per-event cost is vectorized over the flows involved, never a
-    Python loop over flows.
+    indexed by :class:`~repro.simulation.transport.FluidTransport`'s
+    slot ids, and the solve machinery gathers subproblems from
+    slot-indexed path arrays so the per-event cost is vectorized over
+    the flows involved, never a Python loop over flows.
     """
 
     def __init__(
@@ -624,12 +649,14 @@ class IncrementalMaxMin:
         active_idx: np.ndarray,
         paths: np.ndarray,
         valid: np.ndarray,
-        incidence: FlowIncidence | None = None,
+        table: IncidenceTable | None = None,
     ) -> np.ndarray:
         """Rates for ``active_idx`` after absorbing pending events.
 
-        ``paths``/``valid``/``incidence`` describe the current active
-        set exactly as the transport's cached view provides them.
+        ``paths``/``valid`` hold the active flows' path rows in the
+        order of ``active_idx``; ``table``, when given, is the
+        transport's maintained incidence of the same flows, which a full
+        solve on the heap regime reads instead of building its own.
         """
         num_active = active_idx.size
         if num_active == 0:
@@ -641,17 +668,11 @@ class IncrementalMaxMin:
             not self._anchored
             or self._solves_since_anchor >= self.reanchor_interval
         ):
-            return self._full_solve(active_idx, paths, valid, incidence)
+            return self._full_solve(active_idx, paths, valid, table)
         # Flat incidence view, shared by the consumption rebuild and the
         # starvation sweeps (paths/valid stay fixed within one solve).
-        # The transport's version-cached FlowIncidence already carries
-        # these arrays; fall back to computing them here for direct use.
-        if incidence is not None:
-            counts = incidence.lens
-            flat = incidence.flat
-        else:
-            counts = valid.sum(axis=1)
-            flat = paths[valid]
+        counts = valid.sum(axis=1)
+        flat = paths[valid]
         bounds = np.zeros(counts.size, dtype=np.int64)
         np.cumsum(counts[:-1], out=bounds[1:])
         # Re-derive per-link consumption exactly from the live rates so
@@ -677,9 +698,9 @@ class IncrementalMaxMin:
                     cohort = self._cohort(int(link))
                 affected.update(cohort.tolist())
             if len(affected) > _MAX_AFFECTED_FRACTION * num_active:
-                return self._full_solve(active_idx, paths, valid, incidence)
+                return self._full_solve(active_idx, paths, valid, table)
             if affected and not self._subgraph_solve(affected):
-                return self._full_solve(active_idx, paths, valid, incidence)
+                return self._full_solve(active_idx, paths, valid, table)
             self.churn[hot] = 0.0
         # Starvation corrections: lift each starved flow by re-solving
         # it together with everything crossing its limiting link.  One
@@ -695,15 +716,15 @@ class IncrementalMaxMin:
             for link in limiting:
                 affected.update(self.link_flows[int(link)])
             if len(affected) > _MAX_AFFECTED_FRACTION * num_active:
-                return self._full_solve(active_idx, paths, valid, incidence)
+                return self._full_solve(active_idx, paths, valid, table)
             if not self._subgraph_solve(affected):
-                return self._full_solve(active_idx, paths, valid, incidence)
+                return self._full_solve(active_idx, paths, valid, table)
         else:
             starved_rows, _ = self._starved(
                 active_idx, paths, valid, flat, counts, bounds
             )
             if starved_rows.size:
-                return self._full_solve(active_idx, paths, valid, incidence)
+                return self._full_solve(active_idx, paths, valid, table)
         self.incremental_solves += 1
         self._solves_since_anchor += 1
         return self.rates_by_slot[active_idx]
@@ -904,10 +925,10 @@ class IncrementalMaxMin:
         active_idx: np.ndarray,
         paths: np.ndarray,
         valid: np.ndarray,
-        incidence: FlowIncidence | None,
+        table: IncidenceTable | None,
     ) -> np.ndarray:
         rates = maxmin_rates_vectorized(
-            paths, valid, self.capacities, self.num_links, incidence=incidence
+            paths, valid, self.capacities, self.num_links, table=table
         )
         self._ensure_slot(int(active_idx.max(initial=0)))
         self.rates_by_slot[active_idx] = rates

@@ -147,6 +147,11 @@ class BinAccumulator:
         """The full ``(num_keys, num_bins)`` array (copy)."""
         return self._data[:, : self.num_bins].copy()
 
+    def window(self, keys: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Rows ``keys`` over bins ``[start, stop)`` of :meth:`matrix`
+        (copy), without copying the rest of it."""
+        return self._data[keys, start : min(stop, self.num_bins)]
+
     def bin_times(self) -> np.ndarray:
         """Start times of every touched bin."""
         return np.arange(self.num_bins) * self.bin_width

@@ -735,14 +735,14 @@ def check_allocator_equivalence(ctx) -> list[Violation]:
     transport = ctx.simulator.transport
     if getattr(transport, "family", "fluid") != "fluid":
         return []
-    active_idx, paths, valid = transport._active_view()
-    if active_idx.size == 0:
+    active = transport.active_flows()
+    if active.slots.size == 0:
         return []
     reference = maxmin_rates_reference(
-        paths, valid, transport.capacities, transport.num_links
+        active.paths, active.valid, transport.capacities, transport.num_links
     )
     vectorized = maxmin_rates_vectorized(
-        paths, valid, transport.capacities, transport.num_links
+        active.paths, active.valid, transport.capacities, transport.num_links
     )
     if not np.array_equal(reference, vectorized):
         diverged = int((reference != vectorized).sum())
@@ -750,7 +750,7 @@ def check_allocator_equivalence(ctx) -> list[Violation]:
         return [make_violation(
             "transport.allocator_equivalence",
             "vectorized allocator diverged from the reference loop",
-            flows=int(active_idx.size), diverged=diverged,
+            flows=int(active.slots.size), diverged=diverged,
             max_abs_difference=worst,
         )]
     return []
@@ -780,11 +780,12 @@ def check_incremental_equivalence(ctx) -> list[Violation]:
     transport = ctx.simulator.transport
     if transport._inc is None or transport.fairness != "maxmin":
         return []
-    active_idx, paths, valid = transport._active_view()
-    if active_idx.size == 0:
+    active = transport.active_flows()
+    if active.slots.size == 0:
         return []
+    paths, valid = active.paths, active.valid
     violations: list[Violation] = []
-    incremental = transport._inc.rates_by_slot[active_idx]
+    incremental = transport._inc.rates_by_slot[active.slots]
     reference = maxmin_rates_reference(
         paths, valid, transport.capacities, transport.num_links
     )
@@ -800,7 +801,7 @@ def check_incremental_equivalence(ctx) -> list[Violation]:
         violations.append(make_violation(
             "transport.incremental_equivalence",
             "incremental allocator outside tolerance of reference solve",
-            flows=int(active_idx.size),
+            flows=int(active.slots.size),
             diverged=int((relative > INCREMENTAL_RTOL).sum()),
             max_relative_difference=float(relative[worst]),
             rtol=INCREMENTAL_RTOL,

@@ -30,6 +30,17 @@ from ..cluster.topology import ClusterTopology
 __all__ = ["Block", "Dataset", "BlockStore"]
 
 
+def _pick(rng: np.random.Generator, seq: list[int]) -> int:
+    """One uniform draw from ``seq``.
+
+    The same draw as ``int(rng.choice(seq))``, which picks
+    ``rng.integers(len(seq))`` too, without its conversion of the list
+    to an array: about a fifth of the cost, and placement makes one to
+    three of these draws per block.
+    """
+    return int(seq[int(rng.integers(len(seq)))])
+
+
 @dataclass(frozen=True)
 class Block:
     """An immutable chunk of a dataset, replicated on several servers."""
@@ -117,16 +128,16 @@ class BlockStore:
                 s for s in topo.servers_in_rack(topo.rack_of(first)) if s != first
             ]
             if rack_peers:
-                replicas.append(int(self._rng.choice(rack_peers)))
+                replicas.append(_pick(self._rng, rack_peers))
         if self.replication_factor >= 3 and topo.num_racks > 1:
             used_racks = {topo.rack_of(server) for server in replicas}
             other_racks = [r for r in range(topo.num_racks) if r not in used_racks]
             while len(replicas) < self.replication_factor and other_racks:
-                rack = int(self._rng.choice(other_racks))
+                rack = _pick(self._rng, other_racks)
                 other_racks.remove(rack)
                 candidates = [s for s in topo.servers_in_rack(rack) if s not in replicas]
                 if candidates:
-                    replicas.append(int(self._rng.choice(candidates)))
+                    replicas.append(_pick(self._rng, candidates))
         # Fill any shortfall (tiny clusters) from arbitrary distinct servers.
         while len(replicas) < self.replication_factor:
             candidate = int(self._rng.integers(topo.num_servers))
@@ -170,7 +181,7 @@ class BlockStore:
             remaining -= size
             block_writer = writer
             if block_writer is None and home_servers and self._rng.random() < home_bias:
-                block_writer = int(self._rng.choice(home_servers))
+                block_writer = _pick(self._rng, home_servers)
             self.add_block(dataset, size, writer=block_writer)
         self._datasets[dataset.dataset_id] = dataset
         return dataset
@@ -235,7 +246,7 @@ class BlockStore:
             pool = preferred or fallback
             if not pool:
                 continue  # degenerate cluster: nowhere to go
-            new_server = int(self._rng.choice(pool))
+            new_server = _pick(self._rng, pool)
             source = server
             replacement = Block(
                 block_id=block.block_id,

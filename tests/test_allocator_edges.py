@@ -18,8 +18,11 @@ from hypothesis import given, settings
 
 from repro.cluster.routing import Router
 from repro.cluster.topology import ClusterSpec, ClusterTopology
+from repro.simulation import waterfill
+from repro.simulation.transport import FluidTransport, TransferMeta
 from repro.simulation.waterfill import (
     INCREMENTAL_RTOL,
+    IncidenceTable,
     IncrementalMaxMin,
     maxmin_rates_reference,
     maxmin_rates_vectorized,
@@ -215,3 +218,123 @@ def test_incremental_tracks_reference_over_interleavings(ops):
         err = np.abs(rates - ref) / np.maximum(np.abs(ref), 1.0)
         assert float(err.max()) <= INCREMENTAL_RTOL + 1e-9
         _assert_feasible(flows, rates, capacities)
+
+
+def _drive_table_path(ops, capacity_override=None):
+    """Run ``ops`` through a ``vectorized`` transport, checking each step.
+
+    Adds route a flow between the picked endpoints; finishes complete
+    the picked live flow through the transport's completion path.
+    After every step the rates are recomputed and must equal, bit for
+    bit, a from-scratch reference solve of the live set (floored at the
+    transport's minimum rate), and the maintained incidence must equal
+    one built from scratch.  Slots must be reused last-freed-first.
+    Returns how many heap-regime allocations ran.
+    """
+    topo = ClusterTopology(
+        ClusterSpec(racks=4, servers_per_rack=3, racks_per_vlan=2,
+                    external_hosts=0)
+    )
+    router = Router(topo)
+    transport = FluidTransport(topo, impl="vectorized")
+    if capacity_override is not None:
+        link, capacity = capacity_override
+        transport.capacities[link] = capacity
+    endpoints = topo.endpoints()
+    meta = TransferMeta(kind="fetch")
+    freed: list[int] = []
+    next_unused = 0
+    solves = 0
+    for op in ops:
+        if op[0] == "add":
+            src = endpoints[op[1] % len(endpoints)]
+            others = [e for e in endpoints if e != src]
+            dst = others[op[2] % len(others)]
+            slot = transport.add_flow(
+                int(src), int(dst), 1e9,
+                router.path_links(int(src), int(dst)), meta,
+            )
+            if freed:
+                assert slot == freed.pop()
+            else:
+                assert slot == next_unused
+                next_unused += 1
+        else:
+            slots = transport.active_flows().slots
+            if not slots.size:
+                continue
+            position = op[1] % slots.size
+            transport._finish(np.array([position]))
+            assert len(transport.pop_completed()) == 1
+            freed.append(int(slots[position]))
+        transport.recompute_rates()
+        active = transport.active_flows()
+        if not active.slots.size:
+            continue
+        solves += 1
+        expected = maxmin_rates_reference(
+            active.paths, active.valid, transport.capacities,
+            transport.num_links,
+        )
+        assert np.array_equal(
+            transport.active_rates(), np.maximum(expected, 1.0)
+        )
+        table = transport._incidence
+        fresh = IncidenceTable.from_paths(
+            active.paths, active.valid, transport.num_links
+        )
+        slot_list = active.slots.tolist()
+        assert table.slots == slot_list
+        assert table.counts == fresh.counts
+        assert table.link_slots == [
+            [slot_list[row] for row in rows] for rows in fresh.link_slots
+        ]
+    return solves
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=churn_ops())
+def test_table_heap_regime_matches_reference_over_interleavings(ops):
+    """Any add/finish interleaving keeps the maintained table exact.
+
+    The transport's heap regime reads the incidence table that
+    ``add_flow`` and completion keep up to date; after *every* step its
+    rates must equal a from-scratch reference solve bit for bit.
+    """
+    _drive_table_path(ops)
+
+
+@settings(max_examples=15, deadline=None)
+@given(ops=churn_ops())
+def test_table_heap_regime_with_a_zero_capacity_link(ops):
+    """A dead link (a server's uplink) starves exactly its flows through
+    the table path too: its level-zero round assigns them rate 0."""
+    _drive_table_path(ops, capacity_override=(0, 0.0))
+
+
+def test_unassigned_fallback_runs_through_the_table(monkeypatch):
+    """Flows no round can assign take their bottleneck share.
+
+    A negative capacity makes the round threshold fall below the level
+    itself, so no link saturates: both the reference and the table's
+    heap loop hand every flow to ``bottleneck_rates``, with the same
+    floats.
+    """
+    calls = []
+    original = waterfill.bottleneck_rates
+
+    def spy(paths, valid, capacities, num_links):
+        calls.append(paths.shape[0])
+        return original(paths, valid, capacities, num_links)
+
+    monkeypatch.setattr(waterfill, "bottleneck_rates", spy)
+    capacities = np.array([100.0, -1.0, 100.0])
+    flows = [(0,), (1,), (0, 2), (1, 2)]
+    paths, valid = _paths_array(flows)
+    table = IncidenceTable(capacities.size)
+    for slot, links in enumerate(flows):
+        table.add(slot, links)
+    heap = waterfill._maxmin_heap(table, capacities)
+    assert calls == [4]
+    ref = maxmin_rates_reference(paths, valid, capacities, capacities.size)
+    assert np.array_equal(heap, ref)

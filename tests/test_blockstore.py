@@ -1,9 +1,12 @@
 """Cosmos-like block store: placement, datasets, evacuation."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterSpec, ClusterTopology
-from repro.workload.blockstore import Block, BlockStore
+from repro.workload.blockstore import Block, BlockStore, _pick
 from repro.util.units import MB
 
 
@@ -48,6 +51,42 @@ class TestPlacement:
     def test_rejects_external_writer(self, store, tiny_topology):
         with pytest.raises(ValueError):
             store.choose_replicas(writer=tiny_topology.num_servers)
+
+    def test_pick_makes_the_same_draw_as_choice(self):
+        """``_pick`` draws what ``Generator.choice`` would, and leaves
+        the generator in the same state, so placements do not move."""
+        for seed in range(5):
+            picked = np.random.default_rng(seed)
+            chosen = np.random.default_rng(seed)
+            for length in range(1, 301):
+                seq = list(range(1000, 1000 + length))
+                assert _pick(picked, seq) == int(chosen.choice(seq))
+            assert picked.integers(1 << 30) == chosen.integers(1 << 30)
+
+    def test_placement_digest_pinned(self):
+        """Placements, homed placements and an evacuation for one seed,
+        with the generator's next draw, hashed: pinned from the
+        ``Generator.choice`` implementation."""
+        topo = ClusterTopology(ClusterSpec(racks=6, servers_per_rack=8,
+                                           racks_per_vlan=3, external_hosts=2))
+        rng = np.random.default_rng(20261019)
+        store = BlockStore(topo, rng=rng)
+        store.create_dataset("spread", 300 * MB, 1 * MB)
+        store.create_dataset("homed", 200 * MB, 1 * MB,
+                             home_servers=list(range(8, 16)), home_bias=0.7)
+        moves = store.evacuate(9)
+        rows = sorted(
+            (block.block_id, *block.replicas)
+            for server in range(topo.num_servers)
+            for block in store.blocks_on(server)
+        )
+        digest = hashlib.sha256(repr((
+            rows,
+            [(block.block_id, src, dst) for block, src, dst in moves],
+            int(rng.integers(1 << 30)),
+        )).encode()).hexdigest()[:16]
+        assert (len(rows), len(moves)) == (1500, 63)
+        assert digest == "bb4e6290918cc158"
 
     def test_replication_factor_capped(self, rng):
         topo = ClusterTopology(ClusterSpec(racks=1, servers_per_rack=2,

@@ -59,6 +59,46 @@ class TestPathUtilization:
     def test_inverted_window(self, tracker):
         assert tracker.max_utilization_on_path((0,), 5.0, 1.0) == 0.0
 
+    def test_matches_the_whole_matrix_expression(self, topo, tracker):
+        """Same floats as slicing the full link x bin matrix, on random
+        loads and windows, including windows that end past the last
+        complete bin."""
+        rng = np.random.default_rng(3)
+        num_links = topo.num_links
+        for _ in range(40):
+            start = float(rng.uniform(0.0, 30.0))
+            tracker.add_interval_bulk(
+                np.arange(num_links), rng.uniform(0.0, 2e8, num_links),
+                start, start + float(rng.uniform(0.1, 3.0)),
+            )
+        matrix = tracker._bins.matrix()
+        last = tracker._bins.num_bins - 1
+        for _ in range(200):
+            path = tuple(rng.choice(num_links, size=int(rng.integers(1, 6)),
+                                    replace=False).tolist())
+            start = float(rng.uniform(0.0, 36.0))
+            end = start + float(rng.uniform(0.0, 12.0))
+            first = int(np.floor(start))
+            stop = min(int(np.floor(end)), last) + 1
+            links = np.asarray(path)
+            window = matrix[links, first:stop]
+            expected = (
+                float((window / topo.capacities[links][:, None]).max())
+                if window.size else 0.0
+            )
+            assert tracker.max_utilization_on_path(path, start, end) == expected
+
+    def test_reads_no_whole_matrix(self, topo, tracker, monkeypatch):
+        """A hazard evaluation copies only the path's rows and window,
+        never the whole link x bin matrix."""
+        tracker.add_interval_bulk(np.array([0]), np.array([1e8]), 0.0, 50.0)
+
+        def whole_matrix():
+            raise AssertionError("max_utilization_on_path copied matrix()")
+
+        monkeypatch.setattr(tracker._bins, "matrix", whole_matrix)
+        assert tracker.max_utilization_on_path((0, 1), 10.0, 20.0) > 0.0
+
 
 class TestSnmp:
     def test_poll_aggregates_bins(self, topo, tracker):

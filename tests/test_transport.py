@@ -67,7 +67,7 @@ class TestFairness:
         transport.add_flow(0, 2, 1e9, router.path_links(0, 2), META)
         transport.add_flow(0, 3, 1e9, router.path_links(0, 3), META)
         transport.recompute_rates()
-        rates = transport._rates[transport._active]
+        rates = transport.active_rates()
         assert np.allclose(rates, 62.5e6, rtol=1e-6)
 
     def test_disjoint_flows_full_rate(self, topo, router):
@@ -75,7 +75,7 @@ class TestFairness:
         transport.add_flow(0, 1, 1e9, router.path_links(0, 1), META)
         transport.add_flow(2, 3, 1e9, router.path_links(2, 3), META)
         transport.recompute_rates()
-        rates = transport._rates[transport._active]
+        rates = transport.active_rates()
         assert np.allclose(rates, 125e6, rtol=1e-6)
 
     def test_maxmin_redistributes_leftover(self, topo, router):
@@ -88,7 +88,9 @@ class TestFairness:
         transport.recompute_rates()
         # flows into server 1 share its NIC: ~41.7 MB/s each; flow 0->5
         # is limited only by its own NICs: full 125 MB/s.
-        assert transport._rates[slot] == pytest.approx(125e6, rel=0.05)
+        active = transport.active_flows()
+        rate = active.rates[active.slots == slot][0]
+        assert rate == pytest.approx(125e6, rel=0.05)
 
     def test_no_link_oversubscribed(self, topo, router):
         rng = np.random.default_rng(5)
@@ -111,7 +113,7 @@ class TestFairness:
             transport.add_flow(int(src), int(dst), 1e9,
                                router.path_links(int(src), int(dst)), META)
         transport.recompute_rates()
-        assert (transport._rates[transport._active] > 0).all()
+        assert (transport.active_rates() > 0).all()
 
     def test_bottleneck_mode_never_exceeds_maxmin_total(self, topo, router):
         rng = np.random.default_rng(9)
@@ -126,7 +128,7 @@ class TestFairness:
             for src, dst in flows:
                 transport.add_flow(src, dst, 1e9, router.path_links(src, dst), META)
             transport.recompute_rates()
-            totals[mode] = transport._rates[transport._active].sum()
+            totals[mode] = transport.active_rates().sum()
         assert totals["bottleneck"] <= totals["maxmin"] * 1.03
 
     def test_unknown_fairness_rejected(self, topo):
@@ -155,7 +157,9 @@ class TestIntegration:
         slot = transport.add_flow(0, 1, 125e6, router.path_links(0, 1), META)
         transport.recompute_rates()
         transport.advance_to(0.5)
-        assert transport._remaining[slot] == pytest.approx(62.5e6, rel=1e-6)
+        active = transport.active_flows()
+        assert active.slots.tolist() == [slot]
+        assert active.remaining[0] == pytest.approx(62.5e6, rel=1e-6)
 
     def test_slot_reuse_after_completion(self, topo, router):
         transport = make_transport(topo)
@@ -167,10 +171,16 @@ class TestIntegration:
         assert slot2 == slot
 
     def test_growth_beyond_initial_capacity(self, topo, router):
-        transport = FluidTransport(topo, initial_capacity=4)
-        for i in range(10):
+        """The active set has no preset capacity: it grows flow by flow,
+        and slots are handed out in order while none has been freed."""
+        transport = FluidTransport(topo)
+        slots = [
             transport.add_flow(0, 1, 1e9, router.path_links(0, 1), META)
-        assert transport.active_count == 10
+            for _ in range(300)
+        ]
+        assert slots == list(range(300))
+        assert transport.active_count == 300
+        assert transport.active_flows().slots.tolist() == slots
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=25, deadline=None)
@@ -200,7 +210,7 @@ class TestIntegration:
             transport.advance_to(next_time)
             transport.pop_completed()
             transport.recompute_rates()
-        completed_bytes = injected - transport._remaining[transport._active].sum()
+        completed_bytes = injected - transport.active_flows().remaining.sum()
         assert completed_bytes == pytest.approx(injected, rel=1e-6)
         assert transport.active_count == 0
         # The link-load sink saw the same bytes the flows carried: every

@@ -17,7 +17,7 @@ from repro.cluster.topology import ClusterSpec, ClusterTopology
 from repro.simulation import waterfill
 from repro.simulation.transport import FluidTransport, TransferMeta
 from repro.simulation.waterfill import (
-    FlowIncidence,
+    IncidenceTable,
     _maxmin_csr,
     _maxmin_heap,
     bottleneck_rates,
@@ -65,10 +65,10 @@ class TestAllocatorEquivalence:
         for _ in range(10):
             num_flows = int(rng.integers(2, 300))
             paths, valid, caps, num_links = _random_problem(rng, num_flows)
-            incidence = FlowIncidence(paths, valid, caps, num_links)
+            table = IncidenceTable.from_paths(paths, valid, num_links)
             expected = maxmin_rates_reference(paths, valid, caps, num_links)
-            heap = _maxmin_heap(paths, valid, caps, num_links, incidence)
-            csr = _maxmin_csr(paths, valid, caps, num_links, incidence)
+            heap = _maxmin_heap(table, caps)
+            csr = _maxmin_csr(paths, valid, caps, num_links)
             assert np.array_equal(expected, heap)
             assert np.array_equal(expected, csr)
 
@@ -98,19 +98,30 @@ class TestAllocatorEquivalence:
         assert np.array_equal(rates, np.array([40.0]))
 
     def test_incidence_reuse_is_pure(self):
-        """Repeated allocation through one cached incidence instance
-        returns identical results — the per-call state must be copied,
-        never mutated in place."""
+        """Repeated allocation through one maintained incidence table
+        returns identical results and leaves the table as it was — the
+        per-call state must be copied, never mutated in place."""
         rng = np.random.default_rng(11)
         paths, valid, caps, num_links = _random_problem(rng, 120)
-        incidence = FlowIncidence(paths, valid, caps, num_links)
+        table = IncidenceTable.from_paths(paths, valid, num_links)
+        before = (
+            list(table.slots), list(table.counts),
+            [list(slots) for slots in table.link_slots],
+        )
         first = maxmin_rates_vectorized(
-            paths, valid, caps, num_links, incidence=incidence
+            paths, valid, caps, num_links, table=table
         )
         second = maxmin_rates_vectorized(
-            paths, valid, caps, num_links, incidence=incidence
+            paths, valid, caps, num_links, table=table
         )
         assert np.array_equal(first, second)
+        assert np.array_equal(
+            first, maxmin_rates_reference(paths, valid, caps, num_links)
+        )
+        assert before == (
+            table.slots, table.counts,
+            [list(slots) for slots in table.link_slots],
+        )
 
 
 class TestTransportIntegration:
@@ -142,9 +153,11 @@ class TestTransportIntegration:
         assert np.array_equal(vec.active_rates(), ref.active_rates())
 
     def test_cache_invalidated_on_add_and_finish(self):
+        """The maintained incidence follows every add and completion:
+        rates after each match a reference solve of the live set."""
         transport = self._transport("vectorized", num_flows=10)
         transport.recompute_rates()
-        version = transport._flows_version
+        before = transport.active_flows().slots
         topo = transport.topology
         router = Router(topo)
         endpoints = topo.endpoints()
@@ -152,24 +165,30 @@ class TestTransportIntegration:
         src, dst = rng.choice(endpoints, size=2, replace=False)
         transport.add_flow(int(src), int(dst), 1e6,
                            router.path_links(int(src), int(dst)), _META)
-        assert transport._flows_version > version
+        assert transport.active_flows().slots.size == before.size + 1
         transport.recompute_rates()
         # Rates after the add must match a fresh transport built with the
         # same final flow set computed by the reference allocator.
-        active_idx, paths, valid = transport._active_view()
+        active = transport.active_flows()
         expected = maxmin_rates_reference(
-            paths, valid, transport.capacities, transport.num_links
+            active.paths, active.valid, transport.capacities,
+            transport.num_links,
         )
-        assert np.array_equal(
-            transport._rates[active_idx], np.maximum(expected, 1.0)
-        )
-        # Completing flows must also invalidate: run until one drains.
-        version = transport._flows_version
+        assert np.array_equal(active.rates, np.maximum(expected, 1.0))
+        # Completions must update it too: run until one drains.
         horizon = transport.next_completion_time()
         assert horizon is not None
         transport.advance_to(horizon + 1e-6)
-        assert transport.pop_completed()
-        assert transport._flows_version > version
+        done = transport.pop_completed()
+        assert done
+        transport.recompute_rates()
+        active = transport.active_flows()
+        assert active.slots.size == before.size + 1 - len(done)
+        expected = maxmin_rates_reference(
+            active.paths, active.valid, transport.capacities,
+            transport.num_links,
+        )
+        assert np.array_equal(active.rates, np.maximum(expected, 1.0))
 
     def test_bottleneck_mode_unchanged(self):
         topo = ClusterTopology(
@@ -184,10 +203,9 @@ class TestTransportIntegration:
             transport.add_flow(int(src), int(dst), 1e7,
                                router.path_links(int(src), int(dst)), _META)
         transport.recompute_rates()
-        active_idx, paths, valid = transport._active_view()
+        active = transport.active_flows()
         expected = bottleneck_rates(
-            paths, valid, transport.capacities, transport.num_links
+            active.paths, active.valid, transport.capacities,
+            transport.num_links,
         )
-        assert np.array_equal(
-            transport._rates[active_idx], np.maximum(expected, 1.0)
-        )
+        assert np.array_equal(active.rates, np.maximum(expected, 1.0))
