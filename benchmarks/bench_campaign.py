@@ -2,7 +2,13 @@
 
 Standalone (not pytest-benchmark): run ``PYTHONPATH=src python
 benchmarks/bench_campaign.py`` and it writes
-``benchmarks/BENCH_campaign.json`` with
+``benchmarks/BENCH_campaign.json`` through
+:func:`repro.bench.results.write_results` — the schema every BENCH file
+shares, so ``repro telemetry diff`` compares two runs.  Each wall-clock
+measurement is one ``benchmarks`` timing entry
+(``benchmarks/bench_campaign.py::cold_build``, ``::warm_disk_load``,
+``::serial``, ``::warm_pool``, ``::warm_resume``); the rest rides along
+as extra keys:
 
 * cold vs warm-disk dataset build time for the small config — the
   speedup a second process gets from ``.repro-cache``;
@@ -28,11 +34,13 @@ only on multi-core hosts.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import shutil
 import tempfile
 import time
 
+from repro.bench.results import BenchResult, write_results
 from repro.experiments import run_campaign, small_config
 from repro.experiments.common import build_dataset, clear_dataset_cache
 from repro.telemetry import Telemetry
@@ -46,9 +54,10 @@ EXPERIMENTS = ["fig02", "fig09"]
 #: to the core count, so contention shows up as ``wait``, not as slower
 #: ``dataset-load``).
 MAX_DATASET_LOAD_RATIO = 1.2
+BENCH_ID = "benchmarks/bench_campaign.py::{}"
 
 
-def bench_dataset_cache(workdir: pathlib.Path) -> dict:
+def bench_dataset_cache(workdir: pathlib.Path, walls: dict[str, float]) -> dict:
     cache_dir = workdir / "dataset-cache"
     config = small_config(seed=101)
 
@@ -64,16 +73,16 @@ def bench_dataset_cache(workdir: pathlib.Path) -> dict:
     hits = tele.metrics.snapshot()["dataset.disk_cache_hits"]["value"]
     assert hits == 1, f"warm build should hit the disk cache, saw {hits}"
 
+    walls["cold_build"], walls["warm_disk_load"] = cold_seconds, warm_seconds
     return {
         "config": "small",
-        "cold_build_seconds": round(cold_seconds, 3),
-        "warm_disk_load_seconds": round(warm_seconds, 3),
         "disk_cache_speedup": round(cold_seconds / warm_seconds, 1),
     }
 
 
-def _run(label: str, workdir: pathlib.Path, *, jobs: int,
-         resume: bool = False, cache_dir: pathlib.Path | None = None):
+def _run(label: str, workdir: pathlib.Path, walls: dict[str, float], *,
+         jobs: int, resume: bool = False,
+         cache_dir: pathlib.Path | None = None):
     clear_dataset_cache()
     cache_dir = cache_dir or workdir / f"campaign-cache-{label}"
     start = time.perf_counter()
@@ -81,11 +90,10 @@ def _run(label: str, workdir: pathlib.Path, *, jobs: int,
         small_config(), seeds=SEEDS, experiments=EXPERIMENTS,
         jobs=jobs, resume=resume, cache_dir=cache_dir,
     )
-    wall = time.perf_counter() - start
+    walls[label] = time.perf_counter() - start
     timeline = result.timeline
     summary = {
         "jobs": jobs,
-        "wall_seconds": round(wall, 3),
         "per_seed_build_seconds": [
             round(run.build_seconds, 3) for run in result.seed_runs
         ],
@@ -102,29 +110,24 @@ def _run(label: str, workdir: pathlib.Path, *, jobs: int,
     return result, summary, cache_dir
 
 
-def bench_campaign(workdir: pathlib.Path) -> dict:
-    import os
-
+def bench_campaign(workdir: pathlib.Path, walls: dict[str, float]) -> dict:
     cores = os.cpu_count() or 1
     out: dict = {"seeds": SEEDS, "experiments": EXPERIMENTS}
 
-    serial, out["serial"], _ = _run("serial", workdir, jobs=1)
+    serial, out["serial"], _ = _run("serial", workdir, walls, jobs=1)
     warm, out["warm_pool"], warm_cache = _run(
-        "warm", workdir, jobs=JOBS_PARALLEL
+        "warm_pool", workdir, walls, jobs=JOBS_PARALLEL
     )
     _, out["warm_resume"], _ = _run(
-        "warm", workdir, jobs=JOBS_PARALLEL, resume=True, cache_dir=warm_cache,
+        "warm_resume", workdir, walls, jobs=JOBS_PARALLEL, resume=True,
+        cache_dir=warm_cache,
     )
 
     serial_load = out["serial"]["phase_seconds"].get("dataset-load", 0.0)
     warm_load = out["warm_pool"]["phase_seconds"].get("dataset-load", 0.0)
     out["dataset_load_ratio"] = round(warm_load / max(serial_load, 1e-9), 3)
-    out["parallel_speedup"] = round(
-        out["serial"]["wall_seconds"] / out["warm_pool"]["wall_seconds"], 2
-    )
-    out["resume_speedup"] = round(
-        out["warm_pool"]["wall_seconds"] / out["warm_resume"]["wall_seconds"], 1
-    )
+    out["parallel_speedup"] = round(walls["serial"] / walls["warm_pool"], 2)
+    out["resume_speedup"] = round(walls["warm_pool"] / walls["warm_resume"], 1)
 
     hashes = {run.seed: run.content_hash for run in serial.seed_runs}
     out["serial_parallel_hashes_identical"] = hashes == {
@@ -144,20 +147,21 @@ def bench_campaign(workdir: pathlib.Path) -> dict:
 
 
 def main() -> None:
-    import os
-
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="bench-campaign-"))
+    walls: dict[str, float] = {}
     try:
-        payload = {
-            "schema_version": 4,
-            "host": {"cpu_count": os.cpu_count()},
-            "dataset_cache": bench_dataset_cache(workdir),
-            "campaign": bench_campaign(workdir),
+        extra = {
+            "dataset_cache": bench_dataset_cache(workdir, walls),
+            "campaign": bench_campaign(workdir, walls),
         }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     out = pathlib.Path(__file__).parent / "BENCH_campaign.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    results = [
+        BenchResult(id=BENCH_ID.format(name), wall_seconds=wall)
+        for name, wall in walls.items()
+    ]
+    payload = write_results(out, results, extra=extra)
     print(json.dumps(payload, indent=2))
     print(f"\nwrote {out}")
 

@@ -186,7 +186,7 @@ def test_event_latency_queued(benchmark, bench_record):
     benchmark(advance)
     assert int(transport.ticks) > 0
     # The timing entry's wall_seconds divided by ticks_per_round is the
-    # per-tick latency; recorded here so `repro bench compare` keeps a
+    # per-tick latency; recorded here so `repro telemetry diff` reads a
     # flat timing list while the scale metrics stay self-describing.
     bench_record(
         "queued_transport_tick",

@@ -2,11 +2,17 @@
 
 Standalone (not pytest-benchmark): run ``PYTHONPATH=src python
 benchmarks/bench_trace.py`` and it writes ``benchmarks/BENCH_trace.json``
-with
+through :func:`repro.bench.results.write_results` — the schema every
+BENCH file shares, so ``repro telemetry diff`` compares two runs — with
 
-* wall time and peak traced allocations for the traditional in-memory
-  pipeline (load the full trace, then TM + flows + congestion) vs one
-  streaming pass (:func:`repro.trace.analyze.analyze_trace`);
+* one ``benchmarks`` timing entry per wall-clock measurement:
+  ``benchmarks/bench_trace.py::inmemory`` (the traditional pipeline:
+  load the full trace, then TM + flows + congestion),
+  ``::streaming[<chunk>]`` (one pass of
+  :func:`repro.trace.analyze.analyze_trace`) and ``::record[<chunk>]``
+  (recording the trace) for each chunk size;
+* peak traced allocations for the in-memory pipeline vs the streaming
+  pass;
 * a chunk-size sweep plus a trace-size scaling pair showing the
   streaming pass's peak memory follows the *chunk* size, not the trace
   size — the property that lets the same code chew through a
@@ -21,6 +27,7 @@ other.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 import shutil
@@ -28,6 +35,7 @@ import tempfile
 import time
 import tracemalloc
 
+from repro.bench.results import BenchResult, write_results
 from repro.cluster.topology import ClusterSpec
 from repro.config import SimulationConfig, WorkloadConfig
 from repro.instrumentation.collector import CollectorConfig
@@ -40,6 +48,7 @@ from repro.trace.analyze import DEFAULT_TM_WINDOW, _duration_from, _topology_fro
 CHUNK_SIZES = [1024, 8192, 65536]
 SCALING_CHUNK_SIZE = 8192
 SCALING_EVENT_CAPS = (16, 64)
+BENCH_ID = "benchmarks/bench_trace.py::{}"
 
 
 def bench_config() -> SimulationConfig:
@@ -72,7 +81,9 @@ def _measured(fn):
     return wall, peak, result
 
 
-def bench_inmemory(path) -> dict:
+def bench_inmemory(path) -> tuple[float, dict]:
+    """(wall seconds, summary) of the load-everything pipeline."""
+
     def run():
         reader = TraceReader(path)
         log = reader.read_all()
@@ -86,51 +97,42 @@ def bench_inmemory(path) -> dict:
         return len(flows), float(tm.matrices.sum()), len(summary.episodes)
 
     wall, peak, headline = _measured(run)
-    return {
-        "wall_seconds": round(wall, 3),
-        "peak_traced_bytes": peak,
-        "num_flows": headline[0],
-    }
+    return wall, {"peak_traced_bytes": peak, "num_flows": headline[0]}
 
 
-def bench_streaming(path) -> dict:
+def bench_streaming(path) -> tuple[float, dict]:
+    """(wall seconds, summary) of one streaming pass."""
     wall, peak, analysis = _measured(lambda: analyze_trace(path))
-    return {
-        "wall_seconds": round(wall, 3),
-        "peak_traced_bytes": peak,
-        "num_flows": len(analysis.flows),
-    }
+    return wall, {"peak_traced_bytes": peak, "num_flows": len(analysis.flows)}
 
 
 def main() -> None:
-    import os
-
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="bench-trace-"))
     config = bench_config()
+    walls: dict[str, float] = {}
     try:
         sweep = []
         for chunk_size in CHUNK_SIZES:
             path = workdir / f"chunk-{chunk_size}.reprotrace"
             start = time.perf_counter()
             record_trace(config, path, chunk_size=chunk_size)
-            record_seconds = time.perf_counter() - start
+            walls[f"record[{chunk_size}]"] = time.perf_counter() - start
             reader = TraceReader(path)
-            entry = {
+            walls[f"streaming[{chunk_size}]"], streaming = bench_streaming(path)
+            sweep.append({
                 "chunk_size": chunk_size,
                 "chunks": reader.num_chunks,
                 "rows": reader.total_rows,
                 "bytes_on_disk": reader.bytes_on_disk(),
-                "record_seconds": round(record_seconds, 3),
-                "streaming": bench_streaming(path),
-            }
-            sweep.append(entry)
+                "streaming": streaming,
+            })
 
         # One exactness gate + the in-memory baseline, on the finest-chunked
         # trace (where streaming differs from loading the most).
         baseline_path = workdir / f"chunk-{CHUNK_SIZES[0]}.reprotrace"
         checks = check_against_inmemory(baseline_path)
         assert checks["all_equal"], checks
-        inmemory = bench_inmemory(baseline_path)
+        walls["inmemory"], inmemory = bench_inmemory(baseline_path)
 
         # Scale the trace, hold the chunk size AND the flow population:
         # the same workload logged at higher event density (bigger
@@ -140,8 +142,6 @@ def main() -> None:
         # moves.
         scaling = []
         for cap in SCALING_EVENT_CAPS:
-            import dataclasses
-
             dense = dataclasses.replace(
                 config,
                 collector=CollectorConfig(
@@ -153,8 +153,8 @@ def main() -> None:
             scaling.append({
                 "max_events_per_transfer": cap,
                 "rows": TraceReader(path).total_rows,
-                "inmemory_peak_bytes": bench_inmemory(path)["peak_traced_bytes"],
-                "streaming_peak_bytes": bench_streaming(path)["peak_traced_bytes"],
+                "inmemory_peak_bytes": bench_inmemory(path)[1]["peak_traced_bytes"],
+                "streaming_peak_bytes": bench_streaming(path)[1]["peak_traced_bytes"],
             })
         trace_growth = scaling[1]["rows"] / scaling[0]["rows"]
         inmemory_growth = (
@@ -164,9 +164,7 @@ def main() -> None:
             scaling[1]["streaming_peak_bytes"] / scaling[0]["streaming_peak_bytes"]
         )
 
-        payload = {
-            "schema_version": 1,
-            "host": {"cpu_count": os.cpu_count()},
+        extra = {
             "config": {
                 "racks": config.cluster.racks,
                 "servers_per_rack": config.cluster.servers_per_rack,
@@ -193,7 +191,11 @@ def main() -> None:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     out = pathlib.Path(__file__).parent / "BENCH_trace.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    results = [
+        BenchResult(id=BENCH_ID.format(name), wall_seconds=wall)
+        for name, wall in walls.items()
+    ]
+    payload = write_results(out, results, extra=extra)
     print(json.dumps(payload, indent=2))
     print(f"\nwrote {out}")
 

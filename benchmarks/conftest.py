@@ -15,10 +15,11 @@ The ``benchmark`` fixture keeps the familiar call styles::
     result = benchmark.pedantic(fn, args=(), rounds=1, iterations=1)
 
 ``pytest_sessionfinish`` writes the collected timings as a schema-v2
-``BENCH_*.json`` (see :mod:`repro.bench.results`) — to
-``benchmarks/BENCH_core_ops.json`` by default, or wherever the
-``REPRO_BENCH_OUT`` environment variable points (that is how
-``repro bench run`` collects results from its pytest subprocess).
+``BENCH_*.json`` (see :mod:`repro.bench.results`) only to the path in
+the ``REPRO_BENCH_OUT`` environment variable, which ``repro bench run``
+always sets for its pytest subprocess.  A bare ``pytest benchmarks/``
+session writes no results file, so it can never overwrite the
+committed baseline; it still writes ``benchmarks/report.txt``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import pathlib
 import pytest
 
 from repro.bench.results import BenchResult, write_results
+from repro.bench.runner import ENV_BENCH_OUT, ENV_BENCH_PROFILE
 from repro.bench.timing import Timing, measure
 from repro.experiments import build_dataset, standard_config
 from repro.experiments.common import ExperimentDataset
@@ -95,7 +97,7 @@ def bench_record():
 
     Entries land in the results JSON under ``"scale_metrics"``, keyed by
     the name the benchmark chooses — alongside, not inside, the timing
-    entries, so ``repro bench compare`` keeps seeing a flat timing list.
+    entries, so ``repro telemetry diff`` reads only the timing list.
     """
 
     def record(name: str, payload: dict) -> None:
@@ -113,7 +115,7 @@ def pytest_configure(config):
         config.pluginmanager.unregister(plugin)
     # ``repro bench run --profile`` asks for a whole-session cProfile
     # (see repro.bench.runner): the dump lands next to the BENCH json.
-    if os.environ.get("REPRO_BENCH_PROFILE"):
+    if os.environ.get(ENV_BENCH_PROFILE):
         import cProfile
 
         global _PROFILER
@@ -121,7 +123,7 @@ def pytest_configure(config):
         _PROFILER.enable()
 
 
-def _write_bench_json(directory: pathlib.Path) -> None:
+def _write_bench_json(path: pathlib.Path) -> None:
     from repro.telemetry.tracing import aggregate_spans
 
     results = [
@@ -134,8 +136,6 @@ def _write_bench_json(directory: pathlib.Path) -> None:
         )
         for nodeid, timing in _TIMINGS.items()
     ]
-    out = os.environ.get("REPRO_BENCH_OUT")
-    path = pathlib.Path(out) if out else directory / "BENCH_core_ops.json"
     extra = {
         "campaign_timings": aggregate_spans(_TELEMETRY.tracer.spans),
         "campaign_metrics": _TELEMETRY.metrics.snapshot(),
@@ -145,14 +145,12 @@ def _write_bench_json(directory: pathlib.Path) -> None:
     write_results(path, results, extra=extra)
 
 
-def _write_profile_dump(directory: pathlib.Path, top_n: int = 40) -> None:
+def _write_profile_dump(bench_path: pathlib.Path, top_n: int = 40) -> None:
     """Dump the session profile next to the BENCH json (``--profile``)."""
     import io
     import pstats
 
     _PROFILER.disable()
-    out = os.environ.get("REPRO_BENCH_OUT")
-    bench_path = pathlib.Path(out) if out else directory / "BENCH_core_ops.json"
     profile_path = bench_path.with_suffix(".profile.txt")
     stream = io.StringIO()
     stats = pstats.Stats(_PROFILER, stream=stream)
@@ -162,16 +160,15 @@ def _write_profile_dump(directory: pathlib.Path, top_n: int = 40) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    directory = pathlib.Path(__file__).parent
-    if _TIMINGS:
-        _write_bench_json(directory)
-    if _PROFILER is not None:
-        _write_profile_dump(directory)
+    out = os.environ.get(ENV_BENCH_OUT)
+    if out and _TIMINGS:
+        _write_bench_json(pathlib.Path(out))
+    if out and _PROFILER is not None:
+        _write_profile_dump(pathlib.Path(out))
     if not _REPORT:
         return
     body = "\n\n".join(_REPORT)
     banner = "\n" + "=" * 72 + "\nPAPER vs MEASURED (this session)\n" + "=" * 72
     print(banner)
     print(body)
-    out = directory / "report.txt"
-    out.write_text(body + "\n")
+    (pathlib.Path(__file__).parent / "report.txt").write_text(body + "\n")

@@ -15,10 +15,12 @@ Schema (version 2)::
     }
 
 ``wall_seconds`` is the repeat/min figure from
-:func:`repro.bench.timing.measure` — the comparison key.  Version-1
-files (plain ``wall_seconds`` per id, no host block) load fine: the
-extra statistics are simply absent, so comparisons against historical
-baselines keep working.
+:func:`repro.bench.timing.measure` — the one value ``repro telemetry
+diff`` compares per id.  The pytest suite (``repro bench run``) and the
+standalone ``benchmarks/bench_trace.py`` / ``bench_campaign.py`` all
+write through :func:`write_results`, so every committed file carries
+the same host block.  Version-1 files (plain ``wall_seconds`` per id,
+no host block) load fine: the extra statistics are simply absent.
 """
 
 from __future__ import annotations

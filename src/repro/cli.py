@@ -24,14 +24,15 @@ The commands cover the library's workflow:
   into one rollup);
 * ``telemetry`` — render a merged campaign timeline (``timeline``: ASCII
   Gantt, Prometheus text or Chrome ``trace_event`` JSON) and compare two
-  timelines/manifests metric-by-metric under a tolerance (``diff``);
+  timelines, manifests or ``BENCH_*.json`` files metric-by-metric under
+  a tolerance (``diff``);
 * ``validate`` — run the cross-layer invariant checkers
   (:mod:`repro.validate`) over a recorded trace or a freshly built
   campaign, exiting non-zero on any violation;
 * ``bench`` — execute the ``benchmarks/`` suite with the standardized
   repeat/min timing harness (``run``, with ``--quick`` for the fast
-  subset) and diff the resulting ``BENCH_*.json`` against a committed
-  baseline with a configurable tolerance (``compare``).
+  subset), writing a ``BENCH_*.json`` that ``telemetry diff`` compares
+  against a committed baseline.
 
 Figure and ablation names resolve through
 :mod:`repro.experiments.registry`; nothing here hard-codes the catalog.
@@ -285,11 +286,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write to PATH instead of stdout")
     telemetry_diff = telemetry_sub.add_parser(
         "diff",
-        help="compare two timelines/manifests metric-by-metric")
+        help="compare two timelines, manifests or BENCH files "
+             "metric-by-metric")
     telemetry_diff.add_argument(
-        "baseline", help="baseline timeline or run-manifest JSON")
+        "baseline", help="baseline timeline, run-manifest or BENCH JSON")
     telemetry_diff.add_argument(
-        "current", help="current timeline or run-manifest JSON")
+        "current", help="current timeline, run-manifest or BENCH JSON")
     telemetry_diff.add_argument(
         "--tolerance", type=float, default=None,
         help="relative tolerance before a metric counts as changed "
@@ -323,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "validation telemetry")
 
     bench = sub.add_parser(
-        "bench", help="run the benchmark suite or compare results")
+        "bench", help="run the benchmark suite")
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     bench_run = bench_sub.add_parser(
         "run", help="execute benchmarks/ and write a BENCH_*.json")
@@ -346,20 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "JSON as *.profile.txt")
     bench_run.add_argument("--verbose", action="store_true",
                            help="run pytest with -v")
-    bench_compare = bench_sub.add_parser(
-        "compare", help="diff a results file against a baseline")
-    bench_compare.add_argument(
-        "--baseline", default="benchmarks/BENCH_core_ops.json", metavar="PATH",
-        help="baseline results (default: benchmarks/BENCH_core_ops.json)")
-    bench_compare.add_argument(
-        "--current", default="BENCH_current.json", metavar="PATH",
-        help="current results (default: BENCH_current.json)")
-    bench_compare.add_argument(
-        "--tolerance", type=float, default=None,
-        help="relative regression tolerance (default: 0.25)")
-    bench_compare.add_argument(
-        "--fail-on-regression", action="store_true",
-        help="exit 1 if any benchmark regresses beyond tolerance")
     return parser
 
 
@@ -1019,34 +1007,19 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench.compare import DEFAULT_TOLERANCE, compare_results, format_table
+    from .bench.runner import run_benchmarks
 
-    if args.bench_command == "run":
-        from .bench.runner import run_benchmarks
-
-        code = run_benchmarks(
-            out=args.out,
-            benchmarks_dir=args.benchmarks_dir,
-            quick=args.quick,
-            keyword=args.keyword,
-            verbose=args.verbose,
-            profile=args.profile,
-        )
-        if code == 0:
-            print(f"benchmark results written to {args.out}")
-        return code
-
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    try:
-        rows = compare_results(args.baseline, args.current, tolerance=tolerance)
-    except FileNotFoundError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(format_table(rows, tolerance=tolerance))
-    regressed = any(row.status == "regression" for row in rows)
-    if regressed and args.fail_on_regression:
-        return 1
-    return 0
+    code = run_benchmarks(
+        out=args.out,
+        benchmarks_dir=args.benchmarks_dir,
+        quick=args.quick,
+        keyword=args.keyword,
+        verbose=args.verbose,
+        profile=args.profile,
+    )
+    if code == 0:
+        print(f"benchmark results written to {args.out}")
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

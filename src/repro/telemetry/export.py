@@ -9,19 +9,22 @@ Three consumers of a campaign timeline (:mod:`repro.telemetry.merge`):
 * external tooling — :func:`to_prometheus` emits the merged metrics in
   Prometheus text exposition format, :func:`to_chrome_trace` emits
   Chrome ``trace_event`` JSON loadable in ``about:tracing`` / Perfetto;
-* CI — :func:`diff_observables` compares two manifests or timelines
-  metric-by-metric under a relative tolerance, the same contract as
-  ``repro bench compare`` (statuses ``ok`` / ``regression`` /
-  ``improved`` / ``new`` / ``missing``), so observability regressions
-  show up as a delta table.
+* CI — :func:`diff_observables` compares two manifests, timelines or
+  ``BENCH_*.json`` results files metric-by-metric under a relative
+  tolerance (statuses ``ok`` / ``regression`` / ``improved`` / ``new``
+  / ``missing``), so observability and performance regressions show up
+  as one delta table.  It is the repo's only comparator: ``repro
+  telemetry diff`` is the CLI over it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
+from ..bench.results import load_results
 from .merge import TIMELINE_KIND
 
 __all__ = [
@@ -33,12 +36,17 @@ __all__ = [
     "diff_observables",
     "format_diff_table",
     "DEFAULT_DIFF_TOLERANCE",
+    "HIGHER_IS_BETTER",
 ]
 
-#: Default relative tolerance for ``repro telemetry diff`` — matches the
-#: bench-compare default: wide enough for host noise, tight enough to
-#: catch real drift.
+#: Default relative tolerance for ``repro telemetry diff``: wide enough
+#: for host noise, tight enough to catch real drift.
 DEFAULT_DIFF_TOLERANCE = 0.25
+
+#: Rows where a drop, not a rise, is the regression.  Every other row —
+#: counters, phase budgets, every ``BENCH_*.json`` wall time — is
+#: lower-is-better.
+HIGHER_IS_BETTER = frozenset({"timeline.coverage", "sim.events_per_wall_second"})
 
 _STATUS_ORDER = {"regression": 0, "improved": 1, "ok": 2, "new": 3, "missing": 4}
 
@@ -275,12 +283,14 @@ def _scalar_rows(metrics: dict) -> dict[str, float]:
 
 
 def load_observable(path) -> dict:
-    """Load a manifest or timeline into a comparable ``{name: value}``.
+    """Load a manifest, timeline or BENCH file into ``{name: value}``.
 
     Accepts a campaign timeline (``repro campaign run`` writes one next
-    to the manifest) or any :class:`~repro.telemetry.RunManifest` JSON.
-    Timeline phase totals join the comparison as ``phase.<name>_seconds``
-    pseudo-metrics so a spawn-time regression is flagged like any other.
+    to the manifest), any :class:`~repro.telemetry.RunManifest` JSON, or
+    a ``BENCH_*.json`` results file.  Timeline phase totals join the
+    comparison as ``phase.<name>_seconds`` pseudo-metrics so a
+    spawn-time regression is flagged like any other.  A BENCH file
+    contributes one row per benchmark id holding its ``wall_seconds``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -290,13 +300,21 @@ def load_observable(path) -> dict:
             rows[f"phase.{name}_seconds"] = float(seconds)
         rows["timeline.coverage"] = float(data.get("coverage", 0.0))
         return rows
+    if "benchmarks" in data:
+        return {
+            bench_id: result.wall_seconds
+            for bench_id, result in load_results(path).items()
+        }
     if "metrics" in data:
         rows = _scalar_rows(data.get("metrics", {}))
         observability = data.get("extra", {}).get("observability", {})
         for name, seconds in observability.get("phase_totals", {}).items():
             rows[f"phase.{name}_seconds"] = float(seconds)
         return rows
-    raise ValueError(f"{path} is neither a campaign timeline nor a run manifest")
+    raise ValueError(
+        f"{path} is neither a campaign timeline, a run manifest nor a "
+        "BENCH results file"
+    )
 
 
 def diff_observables(
@@ -306,10 +324,11 @@ def diff_observables(
 ) -> list[DiffRow]:
     """Compare two observable payloads metric-by-metric.
 
-    Same contract as :func:`repro.bench.compare.compare_results`: a
-    metric regresses when ``current / baseline`` exceeds ``1 +
-    tolerance``, improves below ``1 - tolerance``; one-sided metrics are
-    ``new`` / ``missing`` and never count as regressions.
+    A metric regresses when ``current / baseline`` exceeds ``1 +
+    tolerance`` and improves below ``1 - tolerance``; the rows in
+    :data:`HIGHER_IS_BETTER` read the other way round.  A NaN on either
+    side is a regression.  One-sided metrics are ``new`` / ``missing``
+    and never count as regressions.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
@@ -327,18 +346,19 @@ def diff_observables(
         if cur is None:
             rows.append(DiffRow(name, base, None, None, "missing"))
             continue
+        if math.isnan(base) or math.isnan(cur):
+            rows.append(DiffRow(name, base, cur, float("nan"), "regression"))
+            continue
         if base == cur:
             ratio = 1.0
         elif base == 0.0:
             ratio = float("inf")
         else:
             ratio = cur / base
-        if ratio > 1.0 + tolerance:
-            status = "regression"
-        elif ratio < 1.0 - tolerance:
-            status = "improved"
-        else:
-            status = "ok"
+        worse, better = ratio > 1.0 + tolerance, ratio < 1.0 - tolerance
+        if name in HIGHER_IS_BETTER:
+            worse, better = better, worse
+        status = "regression" if worse else "improved" if better else "ok"
         rows.append(DiffRow(name, base, cur, ratio, status))
     rows.sort(key=lambda row: (_STATUS_ORDER[row.status], row.name))
     return rows
@@ -361,8 +381,12 @@ def format_diff_table(
     header = ("metric", "baseline", "current", "delta", "status")
     body = []
     for row in shown:
-        if row.ratio is None or row.ratio != row.ratio or row.ratio == float("inf"):
-            delta = "-" if row.ratio is None else "+inf"
+        if row.ratio is None:
+            delta = "-"
+        elif math.isnan(row.ratio):
+            delta = "nan"
+        elif math.isinf(row.ratio):
+            delta = "+inf"
         else:
             delta = f"{(row.ratio - 1.0) * 100:+.1f}%"
         body.append(

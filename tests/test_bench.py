@@ -1,20 +1,31 @@
-"""The perf-regression harness: timing, results files, comparison, CLI."""
+"""The perf-regression harness: timing, results files, the bench CLI.
+
+BENCH files are compared by ``repro telemetry diff``; the tests here
+drive it end to end on files written by :func:`write_results`.
+"""
 
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
-from repro.bench.compare import compare_results, format_table
 from repro.bench.results import (
     BenchResult,
     host_metadata,
     load_results,
     write_results,
 )
+from repro.bench.runner import ENV_BENCH_OUT, ENV_BENCH_PROFILE
 from repro.bench.timing import measure
-from repro.cli import main
+from repro.cli import _build_parser, main
+
+_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestMeasure:
@@ -91,81 +102,28 @@ class TestResultsFile:
         assert meta["cpu_count"] >= 1
 
 
-class TestCompare:
-    def _results(self, **wall):
-        return {
-            name: BenchResult(id=name, wall_seconds=seconds)
-            for name, seconds in wall.items()
-        }
-
-    def test_statuses(self):
-        rows = compare_results(
-            self._results(a=1.0, b=1.0, c=1.0, gone=1.0),
-            self._results(a=1.05, b=2.0, c=0.4, fresh=1.0),
-            tolerance=0.25,
-        )
-        by_id = {row.id: row for row in rows}
-        assert by_id["a"].status == "ok"
-        assert by_id["b"].status == "regression"
-        assert by_id["b"].ratio == pytest.approx(2.0)
-        assert by_id["c"].status == "improved"
-        assert by_id["fresh"].status == "new"
-        assert by_id["gone"].status == "missing"
-
-    def test_regressions_sort_first(self):
-        rows = compare_results(
-            self._results(z=1.0, a=1.0), self._results(z=5.0, a=1.0)
-        )
-        assert rows[0].id == "z"
-
-    def test_zero_baseline_counts_as_regression(self):
-        rows = compare_results(self._results(a=0.0), self._results(a=1.0))
-        assert rows[0].status == "regression"
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            compare_results({}, {}, tolerance=-0.1)
-
-    def test_table_formatting(self):
-        rows = compare_results(
-            self._results(a=1.0, b=0.0001), self._results(a=1.6, b=0.0001)
-        )
-        table = format_table(rows, tolerance=0.25)
-        assert "regression" in table
-        assert "+60.0%" in table
-        assert "100.0µs" in table
-        assert "1 regression(s)" in table
-
-    def test_paths_accepted(self, tmp_path):
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        write_results(base, [BenchResult(id="x", wall_seconds=1.0)])
-        write_results(cur, [BenchResult(id="x", wall_seconds=1.1)])
-        rows = compare_results(base, cur)
-        assert rows[0].status == "ok"
-
-
 class TestBenchCli:
     def _write(self, path, wall):
         write_results(path, [BenchResult(id="b::t", wall_seconds=wall)])
+
+    def _diff(self, base, cur, *flags):
+        return main(["telemetry", "diff", str(base), str(cur), *flags])
 
     def test_compare_ok_exit_zero(self, tmp_path, capsys):
         base, cur = tmp_path / "b.json", tmp_path / "c.json"
         self._write(base, 1.0)
         self._write(cur, 1.1)
-        code = main(["bench", "compare", "--baseline", str(base),
-                     "--current", str(cur)])
-        assert code == 0
-        assert "0 regression(s)" in capsys.readouterr().out
+        assert self._diff(base, cur) == 0
+        out = capsys.readouterr().out
+        assert "b::t" in out
+        assert "1 metric(s), 0 regression(s)" in out
 
     def test_compare_regression_gates_only_with_flag(self, tmp_path, capsys):
         base, cur = tmp_path / "b.json", tmp_path / "c.json"
         self._write(base, 1.0)
         self._write(cur, 3.0)
-        assert main(["bench", "compare", "--baseline", str(base),
-                     "--current", str(cur)]) == 0
-        assert main(["bench", "compare", "--baseline", str(base),
-                     "--current", str(cur), "--fail-on-regression"]) == 1
+        assert self._diff(base, cur) == 0
+        assert self._diff(base, cur, "--fail-on-regression") == 1
         out = capsys.readouterr().out
         assert "regression" in out
 
@@ -173,22 +131,71 @@ class TestBenchCli:
         base, cur = tmp_path / "b.json", tmp_path / "c.json"
         self._write(base, 1.0)
         self._write(cur, 1.4)
-        assert main(["bench", "compare", "--baseline", str(base),
-                     "--current", str(cur), "--tolerance", "0.5",
-                     "--fail-on-regression"]) == 0
-        assert main(["bench", "compare", "--baseline", str(base),
-                     "--current", str(cur), "--tolerance", "0.1",
-                     "--fail-on-regression"]) == 1
+        assert self._diff(base, cur, "--tolerance", "0.5",
+                          "--fail-on-regression") == 0
+        assert self._diff(base, cur, "--tolerance", "0.1",
+                          "--fail-on-regression") == 1
 
     def test_compare_missing_file_exit_two(self, tmp_path, capsys):
-        code = main(["bench", "compare",
-                     "--baseline", str(tmp_path / "nope.json"),
-                     "--current", str(tmp_path / "nope2.json")])
+        code = self._diff(tmp_path / "nope.json", tmp_path / "nope2.json")
         assert code == 2
         assert "error" in capsys.readouterr().err
+        # A JSON file that is neither a BENCH file, a manifest nor a
+        # timeline is unreadable input too: exit 2, no traceback.
+        base, other = tmp_path / "b.json", tmp_path / "other.json"
+        self._write(base, 1.0)
+        other.write_text('{"hello": 1}')
+        assert self._diff(base, other) == 2
+        assert "neither" in capsys.readouterr().err
+
+    def test_bench_compare_subcommand_is_gone(self):
+        """``telemetry diff`` is the only comparator."""
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["bench", "compare"])
 
     def test_run_missing_benchmarks_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["bench", "run", "--benchmarks-dir",
                   str(tmp_path / "missing"), "--out",
                   str(tmp_path / "out.json")])
+
+
+class TestBenchConftest:
+    """``benchmarks/conftest.py`` writes results only where told to."""
+
+    _BENCH = (
+        "def test_tiny(benchmark, report):\n"
+        "    assert benchmark(sum, [1, 2, 3]) == 6\n"
+        "    report('tiny report')\n"
+    )
+
+    def test_bare_session_writes_no_bench_file(self, tmp_path):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        shutil.copy(_REPO_ROOT / "benchmarks" / "conftest.py", suite)
+        (suite / "test_tiny.py").write_text(self._BENCH)
+        env = {key: value for key, value in os.environ.items()
+               if key not in (ENV_BENCH_OUT, ENV_BENCH_PROFILE)}
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (str(_REPO_ROOT / "src"), env.get("PYTHONPATH"))
+            if part
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "pytest", str(suite), "-q",
+             "-p", "no:benchmark", "-p", "no:cacheprovider"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert completed.returncode == 0, completed.stdout + completed.stderr
+        assert "1 passed" in completed.stdout
+        assert (suite / "report.txt").read_text() == "tiny report\n"
+        assert not list(tmp_path.rglob("BENCH_*.json"))
+
+        # `repro bench run` always names the output, so it still collects.
+        out = tmp_path / "BENCH_out.json"
+        assert main(["bench", "run", "--benchmarks-dir", str(suite),
+                     "--out", str(out)]) == 0
+        results = load_results(out)
+        assert len(results) == 1
+        (result,) = results.values()
+        assert result.id.endswith("test_tiny.py::test_tiny")
+        assert not list(suite.glob("BENCH_*.json"))

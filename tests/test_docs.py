@@ -12,6 +12,8 @@ from __future__ import annotations
 import importlib
 import pathlib
 import pkgutil
+import re
+import shlex
 
 import pytest
 
@@ -268,3 +270,43 @@ class TestOperationsHandbook:
             assert step in architecture, (
                 f"ARCHITECTURE.md scheduler dataflow missing {step}"
             )
+
+
+_CLI_DOCS = ("README.md", "EXPERIMENTS.md", "docs/OPERATIONS.md")
+_FENCED_BLOCK = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def _documented_cli_commands() -> list[tuple[str, str]]:
+    """Every ``python -m repro …`` line in a fenced block of the docs.
+
+    Backslash continuations are joined and trailing ``# …`` comments
+    dropped; each entry is ``(doc, arguments after "python -m repro")``.
+    """
+    commands = []
+    for doc in _CLI_DOCS:
+        text = (_REPO_ROOT / doc).read_text()
+        for block in _FENCED_BLOCK.findall(text):
+            joined = re.sub(r"\\\n\s*", " ", block)
+            for line in joined.splitlines():
+                if "python -m repro" not in line:
+                    continue
+                arguments = line.split("python -m repro", 1)[1]
+                commands.append((doc, re.sub(r"\s+#.*$", "", arguments)))
+    return commands
+
+
+def test_documented_cli_commands_parse():
+    """A renamed or deleted subcommand or option breaks every doc line
+    that still shows it; catch that here, not in a reader's shell."""
+    from repro.cli import _build_parser
+
+    parser = _build_parser()
+    commands = _documented_cli_commands()
+    assert len(commands) >= 30, commands
+    broken = []
+    for doc, arguments in commands:
+        try:
+            parser.parse_args(shlex.split(arguments))
+        except SystemExit:
+            broken.append(f"{doc}: python -m repro{arguments}")
+    assert not broken, "\n".join(broken)

@@ -26,6 +26,7 @@ from repro.telemetry import (
     worker_report,
     write_timeline,
 )
+from repro.bench.results import BenchResult, write_results
 from repro.telemetry.export import (
     DEFAULT_DIFF_TOLERANCE,
     diff_observables,
@@ -393,7 +394,7 @@ class TestDiff:
         assert all(row.status == "ok" for row in rows)
         assert all(row.ratio == 1.0 for row in rows)
 
-    def test_statuses_match_bench_compare_contract(self):
+    def test_statuses_classify_against_tolerance(self):
         rows = diff_observables(
             {"reg": 1.0, "imp": 1.0, "same": 3.0, "gone": 1.0},
             {"reg": 2.0, "imp": 0.5, "same": 3.0, "fresh": 9.0},
@@ -409,6 +410,38 @@ class TestDiff:
     def test_zero_baseline_counts_as_regression(self):
         rows = diff_observables({"a": 0.0}, {"a": 1.0})
         assert rows[0].status == "regression"
+
+    def test_higher_is_better_rows_and_nan(self):
+        """A falling throughput or coverage regresses; a NaN never
+        reads as ok."""
+        rows = diff_observables(
+            {"sim.events_per_wall_second": 1000.0, "timeline.coverage": 0.99,
+             "up.coverage": 0.5, "wall": 1.0, "nan_base": float("nan"),
+             "nan_cur": 1.0},
+            {"sim.events_per_wall_second": 500.0, "timeline.coverage": 0.70,
+             "up.coverage": 0.9, "wall": 0.5, "nan_base": 1.0,
+             "nan_cur": float("nan")},
+            tolerance=0.25)
+        by_name = {row.name: row.status for row in rows}
+        assert by_name == {
+            "sim.events_per_wall_second": "regression",
+            "timeline.coverage": "regression",
+            "up.coverage": "regression",  # not a listed row: lower is better
+            "wall": "improved",
+            "nan_base": "regression",
+            "nan_cur": "regression",
+        }
+        rows = diff_observables({"timeline.coverage": 0.5},
+                                {"timeline.coverage": 0.9})
+        assert rows[0].status == "improved"
+        table = format_diff_table(diff_observables({"a": float("nan")},
+                                                   {"a": 1.0}))
+        line = next(row for row in table.splitlines() if row.startswith("a "))
+        assert line.split() == ["a", "nan", "1", "nan", "regression"]
+        from repro.telemetry import export
+
+        assert export.HIGHER_IS_BETTER == {"timeline.coverage",
+                                           "sim.events_per_wall_second"}
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
@@ -431,6 +464,25 @@ class TestDiff:
         observed = load_observable(manifest_path)
         assert observed["events"] == 5.0
         assert observed["phase.compute_seconds"] == pytest.approx(0.6)
+
+    def test_load_observable_from_bench_results(self, tmp_path):
+        """One row per benchmark id, holding its wall_seconds; the extra
+        keys (scale/campaign metrics) stay out."""
+        path = tmp_path / "BENCH_x.json"
+        write_results(path, [
+            BenchResult(id="b::one", wall_seconds=0.5, mean_seconds=0.6,
+                        rounds=3, iterations=1),
+            BenchResult(id="b::two", wall_seconds=1.5),
+        ], extra={
+            "scale_metrics": {"tick": {"flows": 32}},
+            "campaign_metrics": {"events": {"type": "counter", "value": 5}},
+        })
+        assert load_observable(path) == {"b::one": 0.5, "b::two": 1.5}
+        current = tmp_path / "BENCH_y.json"
+        write_results(current, [BenchResult(id="b::one", wall_seconds=1.0)])
+        by_name = {row.name: row.status
+                   for row in diff_observables(path, current)}
+        assert by_name == {"b::one": "regression", "b::two": "missing"}
 
     def test_load_observable_rejects_garbage(self, tmp_path):
         path = tmp_path / "nope.json"
