@@ -11,7 +11,9 @@ running a *single* simulated campaign at that size.  Three angles:
   once per batch.
 * Wall-clock and peak RSS for an end-to-end 1536-server campaign under
   ``transport_impl="incremental"`` — the number a user planning a
-  paper-scale reproduction actually needs (see EXPERIMENTS.md).
+  paper-scale reproduction actually needs (see EXPERIMENTS.md) — and,
+  separately, the set-up it pays once per seed: building the simulator,
+  which places the cluster's 49,152 standing blocks.
 * The same campaign under the queued ``dctcp`` transport, with its tick
   count, transfers and peak active flows pinned: at this size the
   per-tick arithmetic over 3216 links and ~1.3k active flows, not the
@@ -198,20 +200,48 @@ def test_event_latency_queued(benchmark, bench_record):
     )
 
 
-def test_paper_scale_campaign(benchmark, bench_record, report):
-    """End-to-end 1536-server campaign: wall-clock plus peak RSS."""
+def _paper_scale_config(transport_impl: str):
+    """The paper-scale campaign: 15 simulated seconds, seed 7."""
     from repro.config import SimulationConfig
-    from repro.simulation.simulator import simulate
-    from repro.telemetry.resources import read_rss_bytes
     from repro.workload.generator import WorkloadConfig
 
-    config = SimulationConfig(
+    return SimulationConfig(
         cluster=PAPER_SPEC,
         workload=WorkloadConfig(job_arrival_rate=4.0),
         duration=15.0,
         seed=7,
-        transport_impl="incremental",
+        transport_impl=transport_impl,
     )
+
+
+def test_paper_scale_setup(benchmark, bench_record, report):
+    """Building the 1536-server simulator, before any event runs.
+
+    Almost all of it is placing the cluster's standing blocks: with the
+    default 8 GB per server in 256 MB blocks, 32 blocks per server.
+    """
+    from repro.simulation.simulator import Simulator
+
+    config = _paper_scale_config("incremental")
+    simulator = benchmark.pedantic(Simulator, args=(config,), rounds=3)
+    blocks = len(simulator.executor.blockstore._blocks)
+    assert blocks == 49152
+    bench_record(
+        "paper_scale_setup",
+        {
+            "servers": PAPER_SPEC.racks * PAPER_SPEC.servers_per_rack,
+            "blocks_placed": blocks,
+        },
+    )
+    report(f"paper-scale set-up (1536 servers): {blocks} standing blocks placed")
+
+
+def test_paper_scale_campaign(benchmark, bench_record, report):
+    """End-to-end 1536-server campaign: wall-clock plus peak RSS."""
+    from repro.simulation.simulator import simulate
+    from repro.telemetry.resources import read_rss_bytes
+
+    config = _paper_scale_config("incremental")
     result = benchmark.pedantic(simulate, args=(config,), rounds=1, iterations=1)
     assert result.stats["transfers_completed"] > 0
 
@@ -248,17 +278,9 @@ PAPER_SCALE_DCTCP_WORK = {
 
 def test_paper_scale_dctcp_campaign(benchmark, bench_record, report):
     """The 1536-server campaign under the queued DCTCP transport."""
-    from repro.config import SimulationConfig
     from repro.simulation.simulator import Simulator
-    from repro.workload.generator import WorkloadConfig
 
-    config = SimulationConfig(
-        cluster=PAPER_SPEC,
-        workload=WorkloadConfig(job_arrival_rate=4.0),
-        duration=15.0,
-        seed=7,
-        transport_impl="dctcp",
-    )
+    config = _paper_scale_config("dctcp")
     simulator = Simulator(config)
     result = benchmark.pedantic(simulator.run, rounds=1, iterations=1)
     work = {

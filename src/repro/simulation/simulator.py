@@ -360,6 +360,10 @@ class Simulator:
         if self.transport._inc is not None:
             inc = self.transport._inc
             tele.counter("transport.incremental_full_solves").inc(inc.full_solves)
+            for reason, count in inc.full_solves_by_reason.items():
+                tele.counter(
+                    "transport.incremental_full_solves_by_reason", reason=reason
+                ).inc(count)
             tele.counter("transport.incremental_solves").inc(inc.incremental_solves)
             tele.counter("transport.incremental_expansions").inc(inc.expansions)
         if getattr(self.transport, "family", "fluid") == "queued":

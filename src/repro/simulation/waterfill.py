@@ -79,6 +79,7 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 
 __all__ = [
+    "FULL_SOLVE_REASONS",
     "IncidenceTable",
     "IncrementalMaxMin",
     "INCREMENTAL_RTOL",
@@ -486,6 +487,22 @@ _MAX_AFFECTED_FRACTION = 0.75
 #: re-anchored with a full solve.
 _SWEEP_ROUNDS = 4
 
+#: Why :class:`IncrementalMaxMin` fell back to a full solve, one label per
+#: branch: no anchor yet, the :data:`_REANCHOR_INTERVAL` cadence, a churn
+#: or starvation correction touching more than
+#: :data:`_MAX_AFFECTED_FRACTION` of the active flows, a subproblem the
+#: exact solver could not take, and flows still starved after
+#: :data:`_SWEEP_ROUNDS` sweeps.
+FULL_SOLVE_REASONS = (
+    "unanchored",
+    "cadence",
+    "churn_spread",
+    "degenerate_subgraph",
+    "starved_spread",
+    "still_starved",
+)
+
+
 class IncrementalMaxMin:
     """Max-min allocator state maintained across flow arrivals/departures.
 
@@ -583,6 +600,8 @@ class IncrementalMaxMin:
         self._solves_since_anchor = 0
         # Telemetry, folded into the run metrics by the simulator.
         self.full_solves = 0
+        #: ``full_solves`` split by :data:`FULL_SOLVE_REASONS`.
+        self.full_solves_by_reason = dict.fromkeys(FULL_SOLVE_REASONS, 0)
         self.incremental_solves = 0
         #: Exact subgraph corrections (budget- or starvation-triggered).
         self.expansions = 0
@@ -664,11 +683,10 @@ class IncrementalMaxMin:
             self.churn[:] = 0.0
             self._anchored = True
             return np.zeros(0)
-        if (
-            not self._anchored
-            or self._solves_since_anchor >= self.reanchor_interval
-        ):
-            return self._full_solve(active_idx, paths, valid, table)
+        if not self._anchored:
+            return self._full_solve(active_idx, paths, valid, table, "unanchored")
+        if self._solves_since_anchor >= self.reanchor_interval:
+            return self._full_solve(active_idx, paths, valid, table, "cadence")
         # Flat incidence view, shared by the consumption rebuild and the
         # starvation sweeps (paths/valid stay fixed within one solve).
         counts = valid.sum(axis=1)
@@ -698,9 +716,13 @@ class IncrementalMaxMin:
                     cohort = self._cohort(int(link))
                 affected.update(cohort.tolist())
             if len(affected) > _MAX_AFFECTED_FRACTION * num_active:
-                return self._full_solve(active_idx, paths, valid, table)
+                return self._full_solve(
+                    active_idx, paths, valid, table, "churn_spread"
+                )
             if affected and not self._subgraph_solve(affected):
-                return self._full_solve(active_idx, paths, valid, table)
+                return self._full_solve(
+                    active_idx, paths, valid, table, "degenerate_subgraph"
+                )
             self.churn[hot] = 0.0
         # Starvation corrections: lift each starved flow by re-solving
         # it together with everything crossing its limiting link.  One
@@ -716,15 +738,21 @@ class IncrementalMaxMin:
             for link in limiting:
                 affected.update(self.link_flows[int(link)])
             if len(affected) > _MAX_AFFECTED_FRACTION * num_active:
-                return self._full_solve(active_idx, paths, valid, table)
+                return self._full_solve(
+                    active_idx, paths, valid, table, "starved_spread"
+                )
             if not self._subgraph_solve(affected):
-                return self._full_solve(active_idx, paths, valid, table)
+                return self._full_solve(
+                    active_idx, paths, valid, table, "degenerate_subgraph"
+                )
         else:
             starved_rows, _ = self._starved(
                 active_idx, paths, valid, flat, counts, bounds
             )
             if starved_rows.size:
-                return self._full_solve(active_idx, paths, valid, table)
+                return self._full_solve(
+                    active_idx, paths, valid, table, "still_starved"
+                )
         self.incremental_solves += 1
         self._solves_since_anchor += 1
         return self.rates_by_slot[active_idx]
@@ -926,6 +954,7 @@ class IncrementalMaxMin:
         paths: np.ndarray,
         valid: np.ndarray,
         table: IncidenceTable | None,
+        reason: str,
     ) -> np.ndarray:
         rates = maxmin_rates_vectorized(
             paths, valid, self.capacities, self.num_links, table=table
@@ -943,6 +972,7 @@ class IncrementalMaxMin:
         self._anchored = True
         self._solves_since_anchor = 0
         self.full_solves += 1
+        self.full_solves_by_reason[reason] += 1
         return rates
 
     def _refresh_bottlenecks(

@@ -17,10 +17,28 @@ shapes traffic three ways:
 Placement follows the GFS/HDFS convention the paper's infrastructure also
 uses: first replica on the writer, second in the writer's rack, third in a
 remote rack.
+
+Every fabric numbers servers rack by rack, so the bounds of a new block's
+draws are fixed by the topology: the first replica when no writer anchors
+it, the in-rack peer, then a rack and a server per remote replica.  A run
+of blocks therefore shares one ``Generator.integers(0, highs)`` call
+(:meth:`BlockStore._place`): the cluster's standing datasets, all created
+by one :meth:`BlockStore.create_datasets` call, and any dataset whose
+blocks need no per-block home draw.  Blocks go one at a time where other
+draws interleave — a home-biased dataset draws ``random()`` and perhaps a
+home server before each block, and :meth:`BlockStore.choose_replicas`
+places one block — and where the number of draws depends on the data: a
+cluster with one rack, or too few servers for the rack-aware rule, fills
+its last replicas by rejecting duplicate draws.  For an array of bounds
+NumPy's bounded-integer generator returns the values of one scalar call
+per bound, in order, and leaves the generator in the same state; a bound
+of 1 draws nothing.  So every placement is the one per-block draws would
+make.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +48,31 @@ from ..cluster.topology import ClusterTopology
 __all__ = ["Block", "Dataset", "BlockStore"]
 
 
+def _block_sizes(total_bytes: float, block_size: float) -> list[float]:
+    """Sizes of the blocks a dataset of ``total_bytes`` splits into."""
+    sizes = []
+    remaining = float(total_bytes)
+    while remaining > 0:
+        size = min(block_size, remaining)
+        remaining -= size
+        sizes.append(size)
+    return sizes
+
+
 def _pick(rng: np.random.Generator, seq: list[int]) -> int:
     """One uniform draw from ``seq``.
 
     The same draw as ``int(rng.choice(seq))``, which picks
     ``rng.integers(len(seq))`` too, without its conversion of the list
-    to an array: about a fifth of the cost, and placement makes one to
-    three of these draws per block.
+    to an array: about a fifth of the cost.  Home anchors and evacuation
+    targets draw through it one block at a time.  A new block's replicas
+    do not: :meth:`BlockStore._place` draws a whole run of blocks with
+    one array-bound ``integers`` call, whose values and final generator
+    state equal one ``_pick`` per replica over the same candidate lists.
+    The run is every standing block, or one dataset's blocks when no
+    home draw interleaves; a home-biased block, a lone
+    ``choose_replicas`` and a cluster whose last replicas need duplicate
+    rejection go one block per call.
     """
     return int(seq[int(rng.integers(len(seq)))])
 
@@ -104,8 +140,88 @@ class BlockStore:
         }
         self._next_dataset_id = 0
         self._next_block_id = 0
+        # Every fabric numbers servers rack by rack, so a placement's
+        # draw bounds depend on the topology alone: the first replica
+        # (when drawn), the in-rack peer, then a (rack, server) pair per
+        # remote replica, each rack drawn among those not yet used.
+        rf = self.replication_factor
+        spr = topology.spec.servers_per_rack
+        self._peers = 1 if rf >= 2 and spr >= 2 else 0
+        self._remote = (
+            min(rf - 1 - self._peers, topology.num_racks - 1) if rf >= 3 else 0
+        )
+        #: Replicas the rack-aware draws cannot place (one rack, or too
+        #: few servers), filled by rejecting duplicate draws.
+        self._shortfall = rf - 1 - self._peers - self._remote
+        bounds = [topology.num_servers] + [spr - 1] * self._peers
+        for used in range(self._remote):
+            bounds += [topology.num_racks - 1 - used, spr]
+        self._bounds = np.array(bounds, dtype=np.int64)
 
     # ------------------------------------------------------------- placement
+
+    def _place(self, writers: np.ndarray) -> list[tuple[int, ...]]:
+        """Replica sets of ``len(writers)`` new blocks, in block order.
+
+        ``writers[i]`` is block ``i``'s first replica, or -1 to draw it
+        uniformly.  The second replica sits beside the first (cheap, fast
+        to write and the copy most reads hit), the rest in remote racks
+        for failure-domain diversity.  Keeping two of three replicas in
+        the writer's rack is what keeps a job's working set — and
+        therefore its traffic — concentrated (work-seeks-bandwidth).
+
+        All blocks share one ``Generator.integers(0, highs)`` call, which
+        makes the draws of one ``integers(high)`` call per bound in
+        order.  A draw indexes the ascending candidate list the per-block
+        rule would build: the rack's servers without the first replica,
+        or the racks not yet used, which the arithmetic below reproduces.
+        With a shortfall each block ends in a data-dependent number of
+        draws, so blocks go one at a time.
+        """
+        count = writers.size
+        if self._shortfall and count > 1:
+            return [
+                replicas
+                for index in range(count)
+                for replicas in self._place(writers[index : index + 1])
+            ]
+        spr = self.topology.spec.servers_per_rack
+        drawn = writers < 0
+        highs = np.tile(self._bounds, (count, 1))
+        # A bound of 1 draws 0 and leaves the generator as it was, so an
+        # anchored block makes no first-replica draw.
+        highs[~drawn, 0] = 1
+        values = self._rng.integers(0, highs)
+        first = np.where(drawn, values[:, 0], writers)
+        rack = first // spr
+        columns = [first]
+        if self._peers:
+            peer = values[:, 1]
+            columns.append(rack * spr + peer + (peer >= first - rack * spr))
+        used = [rack]
+        for column in range(1 + self._peers, self._bounds.size, 2):
+            remote = values[:, column].copy()
+            for taken in np.sort(used, axis=0):
+                remote += remote >= taken
+            columns.append(remote * spr + values[:, column + 1])
+            used.append(remote)
+        placements = list(zip(*(servers.tolist() for servers in columns)))
+        if self._shortfall and placements:
+            row = list(placements[0])
+            while len(row) < self.replication_factor:
+                candidate = int(self._rng.integers(self.topology.num_servers))
+                if candidate not in row:
+                    row.append(candidate)
+            placements = [tuple(row)]
+        return placements
+
+    def _anchor(self, writer: int | None) -> int:
+        """``writer`` as a :meth:`_place` entry (-1 draws the first replica)."""
+        if writer is None:
+            return -1
+        if not 0 <= writer < self.topology.num_servers:
+            raise ValueError(f"writer {writer} is not an in-cluster server")
+        return writer
 
     def choose_replicas(self, writer: int | None = None) -> tuple[int, ...]:
         """Pick replica servers for a new block.
@@ -113,37 +229,7 @@ class BlockStore:
         ``writer`` anchors the first replica (local write); when ``None``
         (e.g. externally ingested data) a random server is picked.
         """
-        topo = self.topology
-        first = writer if writer is not None else int(self._rng.integers(topo.num_servers))
-        if not 0 <= first < topo.num_servers:
-            raise ValueError(f"writer {writer} is not an in-cluster server")
-        replicas = [first]
-        if self.replication_factor >= 2:
-            # Second replica beside the writer (cheap, fast to write and
-            # the copy most reads hit), third in a remote rack for
-            # failure-domain diversity.  Keeping two of three replicas in
-            # the writer's rack is what keeps a job's working set — and
-            # therefore its traffic — concentrated (work-seeks-bandwidth).
-            rack_peers = [
-                s for s in topo.servers_in_rack(topo.rack_of(first)) if s != first
-            ]
-            if rack_peers:
-                replicas.append(_pick(self._rng, rack_peers))
-        if self.replication_factor >= 3 and topo.num_racks > 1:
-            used_racks = {topo.rack_of(server) for server in replicas}
-            other_racks = [r for r in range(topo.num_racks) if r not in used_racks]
-            while len(replicas) < self.replication_factor and other_racks:
-                rack = _pick(self._rng, other_racks)
-                other_racks.remove(rack)
-                candidates = [s for s in topo.servers_in_rack(rack) if s not in replicas]
-                if candidates:
-                    replicas.append(_pick(self._rng, candidates))
-        # Fill any shortfall (tiny clusters) from arbitrary distinct servers.
-        while len(replicas) < self.replication_factor:
-            candidate = int(self._rng.integers(topo.num_servers))
-            if candidate not in replicas:
-                replicas.append(candidate)
-        return tuple(replicas)
+        return self._place(np.array([self._anchor(writer)], dtype=np.int64))[0]
 
     # ------------------------------------------------------------- datasets
 
@@ -173,33 +259,67 @@ class BlockStore:
             raise ValueError("home_bias must lie in [0, 1]")
         if home_bias > 0 and not home_servers:
             raise ValueError("home_bias requires home_servers")
-        dataset = Dataset(dataset_id=self._next_dataset_id, name=name)
-        self._next_dataset_id += 1
-        remaining = float(total_bytes)
-        while remaining > 0:
-            size = min(block_size, remaining)
-            remaining -= size
-            block_writer = writer
-            if block_writer is None and home_servers and self._rng.random() < home_bias:
-                block_writer = _pick(self._rng, home_servers)
-            self.add_block(dataset, size, writer=block_writer)
+        if writer is not None or not home_servers:
+            return self.create_datasets([(name, total_bytes, writer)], block_size)[0]
+        # Each block's home draw precedes its placement, so blocks go one
+        # at a time.
+        dataset = self._new_dataset(name)
+        for size in _block_sizes(total_bytes, block_size):
+            anchor = None
+            if self._rng.random() < home_bias:
+                anchor = _pick(self._rng, home_servers)
+            self._add_block(dataset, size, self.choose_replicas(anchor))
         self._datasets[dataset.dataset_id] = dataset
         return dataset
 
-    def add_block(self, dataset: Dataset, size: float, writer: int | None = None) -> Block:
-        """Append one block to a dataset and record its placement."""
+    def create_datasets(
+        self,
+        specs: Iterable[tuple[str, float, int | None]],
+        block_size: float,
+    ) -> list[Dataset]:
+        """Create one dataset per ``(name, total_bytes, writer)``, in order.
+
+        Every block of every dataset is placed by one :meth:`_place`
+        call, with the ids and replicas that one :meth:`create_dataset`
+        call per spec would give.
+        """
+        if block_size <= 0:
+            raise ValueError("block size must be positive")
+        layout: list[tuple[Dataset, list[float]]] = []
+        anchors: list[int] = []
+        for name, total_bytes, writer in specs:
+            if total_bytes <= 0:
+                raise ValueError("dataset must contain at least one byte")
+            sizes = _block_sizes(total_bytes, block_size)
+            anchors += [self._anchor(writer)] * len(sizes)
+            layout.append((self._new_dataset(name), sizes))
+        placements = iter(self._place(np.array(anchors, dtype=np.int64)))
+        for dataset, sizes in layout:
+            for size in sizes:
+                self._add_block(dataset, size, next(placements))
+            self._datasets[dataset.dataset_id] = dataset
+        return [dataset for dataset, _ in layout]
+
+    def _new_dataset(self, name: str) -> Dataset:
+        dataset = Dataset(dataset_id=self._next_dataset_id, name=name)
+        self._next_dataset_id += 1
+        return dataset
+
+    def _add_block(
+        self, dataset: Dataset, size: float, replicas: tuple[int, ...]
+    ) -> None:
+        """Append one placed block to a dataset and index its replicas."""
         block = Block(
             block_id=self._next_block_id,
             dataset_id=dataset.dataset_id,
             size=float(size),
-            replicas=self.choose_replicas(writer),
+            replicas=replicas,
         )
         self._next_block_id += 1
         dataset.blocks.append(block)
         self._blocks[block.block_id] = block
-        for server in block.replicas:
+        for server in replicas:
             self._blocks_by_server[server].add(block.block_id)
-        return block
 
     def dataset(self, dataset_id: int) -> Dataset:
         """Look up a dataset by id."""

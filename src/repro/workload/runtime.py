@@ -152,18 +152,18 @@ class JobExecutor:
         Real servers hold terabytes of replicated blocks before any
         measured job runs; evacuating one of them therefore streams data
         for minutes.  One dataset is anchored per server so storage is
-        spread evenly.
+        spread evenly, and every standing block is placed by one draw.
         """
         per_server = self.config.initial_data_per_server
         if per_server <= 0:
             return
-        for server in range(self.topology.num_servers):
-            self.blockstore.create_dataset(
-                name=f"standing-{server}",
-                total_bytes=per_server,
-                block_size=self.config.block_size,
-                writer=server,
-            )
+        self.blockstore.create_datasets(
+            (
+                (f"standing-{server}", per_server, server)
+                for server in range(self.topology.num_servers)
+            ),
+            block_size=self.config.block_size,
+        )
 
     # ----------------------------------------------------------- scheduling
 

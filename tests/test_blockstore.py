@@ -4,10 +4,147 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterSpec, ClusterTopology
-from repro.workload.blockstore import Block, BlockStore, _pick
+from repro.workload.blockstore import Block, BlockStore, Dataset, _pick
 from repro.util.units import MB
+
+
+class OracleStore(BlockStore):
+    """The per-block placement that :meth:`BlockStore._place` batches.
+
+    ``choose_replicas``, ``create_dataset`` and ``add_block`` as they
+    were before placement drew once per run of blocks: one scalar draw
+    per replica, every candidate list built in Python.  The batched
+    store must give the same blocks and leave the generator in the same
+    state.
+    """
+
+    def choose_replicas(self, writer: int | None = None) -> tuple[int, ...]:
+        topo = self.topology
+        first = writer if writer is not None else int(self._rng.integers(topo.num_servers))
+        if not 0 <= first < topo.num_servers:
+            raise ValueError(f"writer {writer} is not an in-cluster server")
+        replicas = [first]
+        if self.replication_factor >= 2:
+            # Second replica beside the writer (cheap, fast to write and
+            # the copy most reads hit), third in a remote rack for
+            # failure-domain diversity.  Keeping two of three replicas in
+            # the writer's rack is what keeps a job's working set — and
+            # therefore its traffic — concentrated (work-seeks-bandwidth).
+            rack_peers = [
+                s for s in topo.servers_in_rack(topo.rack_of(first)) if s != first
+            ]
+            if rack_peers:
+                replicas.append(_pick(self._rng, rack_peers))
+        if self.replication_factor >= 3 and topo.num_racks > 1:
+            used_racks = {topo.rack_of(server) for server in replicas}
+            other_racks = [r for r in range(topo.num_racks) if r not in used_racks]
+            while len(replicas) < self.replication_factor and other_racks:
+                rack = _pick(self._rng, other_racks)
+                other_racks.remove(rack)
+                candidates = [s for s in topo.servers_in_rack(rack) if s not in replicas]
+                if candidates:
+                    replicas.append(_pick(self._rng, candidates))
+        # Fill any shortfall (tiny clusters) from arbitrary distinct servers.
+        while len(replicas) < self.replication_factor:
+            candidate = int(self._rng.integers(topo.num_servers))
+            if candidate not in replicas:
+                replicas.append(candidate)
+        return tuple(replicas)
+
+    def create_dataset(self, name, total_bytes, block_size, writer=None,
+                       home_servers=None, home_bias=0.0):
+        dataset = Dataset(dataset_id=self._next_dataset_id, name=name)
+        self._next_dataset_id += 1
+        remaining = float(total_bytes)
+        while remaining > 0:
+            size = min(block_size, remaining)
+            remaining -= size
+            block_writer = writer
+            if block_writer is None and home_servers and self._rng.random() < home_bias:
+                block_writer = _pick(self._rng, home_servers)
+            self.add_block(dataset, size, writer=block_writer)
+        self._datasets[dataset.dataset_id] = dataset
+        return dataset
+
+    def add_block(self, dataset, size, writer=None):
+        block = Block(
+            block_id=self._next_block_id,
+            dataset_id=dataset.dataset_id,
+            size=float(size),
+            replicas=self.choose_replicas(writer),
+        )
+        self._next_block_id += 1
+        dataset.blocks.append(block)
+        self._blocks[block.block_id] = block
+        for server in block.replicas:
+            self._blocks_by_server[server].add(block.block_id)
+        return block
+
+
+@st.composite
+def placement_cases(draw):
+    """A small fabric, a replication factor and a run of placements.
+
+    Returns ``(spec, replication_factor, seed, standing, dataset,
+    singles)``: ``standing`` is a list of ``(blocks, writer)`` datasets
+    created together, ``dataset`` one ``(blocks, writer, home_servers,
+    home_bias)`` dataset and ``singles`` the writers of lone
+    ``choose_replicas`` calls; a writer of ``None`` draws the first
+    replica.
+    """
+    kind = draw(st.sampled_from(["tree", "fat_tree", "leaf_spine"]))
+    servers = draw(st.integers(min_value=1, max_value=8))
+    if kind == "fat_tree":
+        spec = ClusterSpec.fat_tree(k=draw(st.sampled_from([2, 4])),
+                                    servers_per_rack=servers, external_hosts=0)
+    elif kind == "leaf_spine":
+        spec = ClusterSpec.leaf_spine(
+            racks=draw(st.integers(min_value=1, max_value=8)),
+            spines=draw(st.integers(min_value=1, max_value=2)),
+            servers_per_rack=servers, external_hosts=0,
+        )
+    else:
+        racks = draw(st.integers(min_value=1, max_value=8))
+        spec = ClusterSpec(
+            racks=racks, servers_per_rack=servers,
+            racks_per_vlan=draw(st.integers(min_value=1, max_value=racks)),
+            external_hosts=0,
+        )
+    server = st.integers(min_value=0, max_value=spec.num_servers - 1)
+    writer = st.one_of(st.none(), server)
+    blocks = st.integers(min_value=1, max_value=40)
+    standing = draw(st.lists(st.tuples(blocks, writer), max_size=3))
+    mode = draw(st.sampled_from(["fixed", "none", "homed"]))
+    home_servers, home_bias = None, 0.0
+    if mode == "homed":
+        home_servers = draw(st.lists(server, min_size=1, max_size=6))
+        home_bias = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    dataset = (
+        draw(blocks),
+        draw(server) if mode == "fixed" else None,
+        home_servers,
+        home_bias,
+    )
+    singles = draw(st.lists(writer, max_size=4))
+    return (spec, draw(st.integers(min_value=1, max_value=5)),
+            draw(st.integers(min_value=0, max_value=2**32 - 1)),
+            standing, dataset, singles)
+
+
+def _placement_state(store, rng):
+    """Blocks, datasets and per-server sets of a store, and the next draw."""
+    return (
+        {block_id: (block.dataset_id, block.size, block.replicas)
+         for block_id, block in store._blocks.items()},
+        {dataset_id: (dataset.name, [block.block_id for block in dataset.blocks])
+         for dataset_id, dataset in store._datasets.items()},
+        {server: sorted(ids) for server, ids in store._blocks_by_server.items()},
+        int(rng.integers(1 << 30)),
+    )
 
 
 @pytest.fixture()
@@ -51,6 +188,67 @@ class TestPlacement:
     def test_rejects_external_writer(self, store, tiny_topology):
         with pytest.raises(ValueError):
             store.choose_replicas(writer=tiny_topology.num_servers)
+
+    @settings(max_examples=150)
+    @given(placement_cases())
+    def test_batched_placement_matches_per_block_oracle(self, case):
+        """Every placement path gives the per-block oracle's blocks,
+        replicas and per-server sets, and the same next draw."""
+        spec, replication_factor, seed, standing, dataset, singles = case
+        topo = ClusterTopology(spec)
+        states, single_replicas = [], []
+        for cls in (BlockStore, OracleStore):
+            rng = np.random.default_rng(seed)
+            store = cls(topo, rng=rng, replication_factor=replication_factor)
+            specs = [(f"standing-{index}", (count - 0.5) * MB, writer)
+                     for index, (count, writer) in enumerate(standing)]
+            if cls is BlockStore:
+                store.create_datasets(specs, block_size=1 * MB)
+            else:
+                for name, total, writer in specs:
+                    store.create_dataset(name, total, 1 * MB, writer=writer)
+            count, writer, home_servers, home_bias = dataset
+            store.create_dataset("d", (count - 0.5) * MB, 1 * MB, writer=writer,
+                                 home_servers=home_servers, home_bias=home_bias)
+            single_replicas.append([store.choose_replicas(w) for w in singles])
+            states.append(_placement_state(store, rng))
+        assert single_replicas[0] == single_replicas[1]
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize("pattern", [
+        (23, 63, 24), (1536, 23, 63, 24), (7, 5, 8, 4, 8), (1, 2, 3, 10**6),
+    ])
+    def test_array_bounds_make_the_scalar_draws(self, pattern):
+        """``Generator.integers(0, highs)`` returns what one
+        ``integers(high)`` call per bound returns, and leaves the
+        generator in the same state: the identity batched placement
+        rests on."""
+        highs = np.tile(np.array(pattern, dtype=np.int64), 997)
+        for seed in range(10):
+            batched = np.random.default_rng(seed)
+            scalar = np.random.default_rng(seed)
+            drawn = batched.integers(0, highs).tolist()
+            expected = [int(scalar.integers(high)) for high in highs]
+            assert drawn == expected, (
+                f"seed {seed}: array-bound draws differ from scalar draws "
+                f"under numpy {np.__version__}"
+            )
+            assert (batched.integers(1 << 30), batched.random()) == (
+                scalar.integers(1 << 30), scalar.random()
+            ), f"seed {seed}: generator state differs under numpy {np.__version__}"
+
+    def test_unit_bound_draws_nothing(self):
+        """A bound of 1 draws 0 and leaves the generator as it was: an
+        anchored block's first-replica slot, which per-block placement
+        never drew."""
+        for seed in range(10):
+            batched = np.random.default_rng(seed)
+            untouched = np.random.default_rng(seed)
+            drawn = batched.integers(0, np.ones((997, 3), dtype=np.int64))
+            assert not drawn.any()
+            assert (batched.integers(1 << 30), batched.random()) == (
+                untouched.integers(1 << 30), untouched.random()
+            ), f"seed {seed}: a bound of 1 drew under numpy {np.__version__}"
 
     def test_pick_makes_the_same_draw_as_choice(self):
         """``_pick`` draws what ``Generator.choice`` would, and leaves

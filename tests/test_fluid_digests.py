@@ -6,15 +6,17 @@ completion times, and with them every later output.  These digests pin,
 bit for bit, the socket log, the completed transfers, the link-load
 byte matrix and the run's allocation and completion counts for short
 campaigns under every fluid ``transport_impl``, under
-``fairness="bottleneck"``, and on the multipath fabrics.  A pure
-speed-up of the transport or the allocator leaves every one of them
-unchanged; a change that alters a result (a reduction reordered, a slot
-reused in another order) fails here.
+``fairness="bottleneck"``, on the multipath fabrics, and for a run that
+evacuates servers.  A pure speed-up of the transport, the allocator or
+block placement leaves every one of them unchanged; a change that alters
+a result (a reduction reordered, a slot reused in another order, a
+replica drawn from another list) fails here.
 
 perfbench's ``tree_exact`` digests cover only the tree under
 single-path ``vectorized``; the runs here add the other impls, the
 ablation fairness mode and the ECMP/flowlet fabrics, which exercise
-flow arrival, completion and integration along different paths.
+flow arrival, completion and integration along different paths, and
+evacuations, which no perfbench workload schedules.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import pytest
 from repro.experiments import small_config
 from repro.instrumentation.events import SocketEventLog
 from repro.simulation.simulator import simulate
+from repro.simulation.waterfill import FULL_SOLVE_REASONS
+from repro.telemetry import Telemetry
 from repro.trace.format import content_hash
 
 from test_cc_digests import fat_tree_config, leafspine_config
@@ -34,6 +38,11 @@ from test_cc_digests import fat_tree_config, leafspine_config
 #: Simulated seconds per run: ~1,400-1,650 completed transfers with
 #: hundreds of slot reuses, about half a second of test time each.
 CAMPAIGN_SECONDS = 45.0
+#: Evacuation events per second of the ``evacuating`` run.  The small
+#: config's rate schedules none in ``CAMPAIGN_SECONDS``; this one starts
+#: four (at 17.3, 26.5, 26.9 and 43.0 s), which drain twelve servers, so
+#: placement, evacuation and the copies it streams all reach the digests.
+EVACUATION_RATE = 0.1
 
 
 def _hash(arrays: dict[str, np.ndarray]) -> str:
@@ -82,17 +91,20 @@ def fluid_digests(result) -> dict[str, str]:
 def _config(name: str):
     fabric, impl, variant = name.split("/")
     if fabric == "tree":
-        return replace(
-            small_config(seed=3),
-            transport_impl=impl,
-            fairness=variant,
-            duration=CAMPAIGN_SECONDS,
+        config = replace(
+            small_config(seed=3), transport_impl=impl, duration=CAMPAIGN_SECONDS
         )
+        if variant == "evacuating":
+            return replace(config, workload=replace(
+                config.workload, evacuation_rate=EVACUATION_RATE
+            ))
+        return replace(config, fairness=variant)
     factory = leafspine_config if fabric == "leafspine" else fat_tree_config
     return replace(factory(impl, variant), duration=CAMPAIGN_SECONDS)
 
 
-#: Pinned digests per run, keyed ``fabric/impl/fairness-or-routing``:
+#: Pinned digests per run, keyed ``fabric/impl/fairness-or-routing``
+#: (``evacuating``: the tree under max-min at ``EVACUATION_RATE``):
 #: (socket_log, transfers, linkloads, "rate_recomputes/transfers").
 PINNED = {
     "fat_tree/vectorized/ecmp": (
@@ -123,6 +135,10 @@ PINNED = {
         "36a89e6d7b38ea25", "2279a8f1140b62f6",
         "0beb65686748c2e2", "1158/1571",
     ),
+    "tree/vectorized/evacuating": (
+        "65f1e957fe89b72f", "433f1324eeee8c94",
+        "52a09ce175c47100", "1210/1650",
+    ),
     "tree/vectorized/maxmin": (
         "7b3d137ec6840318", "4a8e3154eb4f6ed3",
         "d0e5a4f96722c56c", "1172/1627",
@@ -130,11 +146,15 @@ PINNED = {
 }
 
 
+def _pinned(name: str) -> dict[str, str]:
+    return dict(zip(("socket_log", "transfers", "linkloads", "counts"),
+                    PINNED[name]))
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_fluid_outputs_pinned(name):
     observed = fluid_digests(simulate(_config(name)))
-    pinned = dict(zip(("socket_log", "transfers", "linkloads", "counts"),
-                      PINNED[name]))
+    pinned = _pinned(name)
     changed = {
         key: (value, pinned[key])
         for key, value in observed.items()
@@ -144,3 +164,33 @@ def test_fluid_outputs_pinned(name):
         f"{name}: outputs changed (observed, pinned) {changed} "
         f"under numpy {np.__version__}"
     )
+
+
+def test_evacuating_run_evacuates():
+    """The ``evacuating`` run drains servers within its simulated time
+    and completes some of the copies, so its digests cover them."""
+    result = simulate(_config("tree/vectorized/evacuating"))
+    starts = sorted({record.time for record in result.applog.evacuations})
+    copies = [t for t in result.transfers if t.meta.kind == "evacuation"]
+    assert len(starts) >= 2
+    assert starts[-1] < CAMPAIGN_SECONDS
+    assert copies
+
+
+def test_incremental_full_solves_split_by_reason():
+    """The ``incremental`` run publishes why each full solve ran: the
+    per-reason counts add up to the total, and telemetry leaves the
+    pinned outputs as they are."""
+    name = "tree/incremental/maxmin"
+    tele = Telemetry()
+    result = simulate(_config(name), telemetry=tele)
+    total = tele.counter("transport.incremental_full_solves").value
+    by_reason = {
+        reason: tele.counter(
+            "transport.incremental_full_solves_by_reason", reason=reason
+        ).value
+        for reason in FULL_SOLVE_REASONS
+    }
+    assert total > 0
+    assert sum(by_reason.values()) == total, by_reason
+    assert fluid_digests(result) == _pinned(name)
