@@ -219,21 +219,27 @@ def test_paper_scale_setup(benchmark, bench_record, report):
 
     Almost all of it is placing the cluster's standing blocks: with the
     default 8 GB per server in 256 MB blocks, 32 blocks per server.
+    ``store_bytes`` records the block store's row arrays.
     """
     from repro.simulation.simulator import Simulator
 
     config = _paper_scale_config("incremental")
     simulator = benchmark.pedantic(Simulator, args=(config,), rounds=3)
-    blocks = len(simulator.executor.blockstore._blocks)
+    store = simulator.executor.blockstore
+    blocks = store.num_blocks
     assert blocks == 49152
     bench_record(
         "paper_scale_setup",
         {
             "servers": PAPER_SPEC.racks * PAPER_SPEC.servers_per_rack,
             "blocks_placed": blocks,
+            "store_bytes": store.nbytes,
         },
     )
-    report(f"paper-scale set-up (1536 servers): {blocks} standing blocks placed")
+    report(
+        f"paper-scale set-up (1536 servers): {blocks} standing blocks placed, "
+        f"{store.nbytes / 2**20:.2f} MiB of block rows"
+    )
 
 
 def test_paper_scale_campaign(benchmark, bench_record, report):

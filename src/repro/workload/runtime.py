@@ -827,17 +827,14 @@ class JobExecutor:
         which is what pins that rack's uplink at capacity for minutes and
         produces the long, localized congestion episodes of Fig 6.
         """
-        occupied = [
-            s for s in range(self.topology.num_servers)
-            if self.blockstore.bytes_on(s) > 0
-        ]
+        occupied = self.blockstore.occupied_servers()
         if not occupied:
             return
         anchor = int(self._rng.choice(occupied))
         rack = self.topology.rack_of(anchor)
+        held = set(occupied)
         victims = [
-            s for s in self.topology.servers_in_rack(rack)
-            if self.blockstore.bytes_on(s) > 0
+            s for s in self.topology.servers_in_rack(rack) if s in held
         ][: max(1, self.config.evacuation_servers)]
         for server in victims:
             self._evacuate_server(server)

@@ -1,6 +1,8 @@
 """Cosmos-like block store: placement, datasets, evacuation."""
 
 import hashlib
+import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -8,19 +10,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterSpec, ClusterTopology
-from repro.workload.blockstore import Block, BlockStore, Dataset, _pick
+from repro.workload.blockstore import Block, BlockStore, _pick
+from repro.workload.generator import WorkloadConfig
 from repro.util.units import MB
 
 
-class OracleStore(BlockStore):
-    """The per-block placement that :meth:`BlockStore._place` batches.
+@dataclass
+class OracleDataset:
+    """A dataset as a list of block objects."""
 
-    ``choose_replicas``, ``create_dataset`` and ``add_block`` as they
-    were before placement drew once per run of blocks: one scalar draw
-    per replica, every candidate list built in Python.  The batched
-    store must give the same blocks and leave the generator in the same
-    state.
+    dataset_id: int
+    name: str
+    blocks: list = field(default_factory=list)
+
+
+class OracleStore:
+    """The per-block store that :class:`BlockStore` batches and stores
+    as rows.
+
+    ``choose_replicas``, ``create_dataset``, ``add_block`` and
+    ``evacuate`` as they were before placement drew once per run of
+    blocks and blocks became rows: one scalar draw per replica, every
+    candidate list built in Python, one :class:`Block` object per block
+    in an id dict, and one set of block ids per server.  The columnar
+    store must give the same blocks, datasets and moves, and leave the
+    generator in the same state.  One line differs from that code: a
+    block that an evacuation cannot move (every server already holds
+    it) stays in its server's set, as it stays in the block's replicas;
+    that code dropped the whole set.
     """
+
+    def __init__(self, topology, rng, replication_factor=3):
+        self.topology = topology
+        self.replication_factor = min(replication_factor, topology.num_servers)
+        self._rng = rng
+        self._datasets = {}
+        self._blocks = {}
+        self._blocks_by_server = {server: set() for server in range(topology.num_servers)}
+        self._next_dataset_id = 0
+        self._next_block_id = 0
 
     def choose_replicas(self, writer: int | None = None) -> tuple[int, ...]:
         topo = self.topology
@@ -57,7 +85,7 @@ class OracleStore(BlockStore):
 
     def create_dataset(self, name, total_bytes, block_size, writer=None,
                        home_servers=None, home_bias=0.0):
-        dataset = Dataset(dataset_id=self._next_dataset_id, name=name)
+        dataset = OracleDataset(dataset_id=self._next_dataset_id, name=name)
         self._next_dataset_id += 1
         remaining = float(total_bytes)
         while remaining > 0:
@@ -84,17 +112,67 @@ class OracleStore(BlockStore):
             self._blocks_by_server[server].add(block.block_id)
         return block
 
+    @property
+    def num_blocks(self):
+        return len(self._blocks)
+
+    def dataset(self, dataset_id):
+        return self._datasets[dataset_id]
+
+    def block(self, block_id):
+        return self._blocks[block_id]
+
+    def blocks_on(self, server):
+        return [self._blocks[block_id] for block_id in sorted(self._blocks_by_server[server])]
+
+    def evacuate(self, server):
+        transfers = []
+        topo = self.topology
+        for block_id in sorted(self._blocks_by_server[server]):
+            block = self._blocks[block_id]
+            survivors = tuple(s for s in block.replicas if s != server)
+            exclude = set(block.replicas)
+            used_racks = {topo.rack_of(s) for s in survivors}
+            preferred = [
+                s
+                for s in range(topo.num_servers)
+                if s not in exclude and topo.rack_of(s) not in used_racks
+            ]
+            fallback = [s for s in range(topo.num_servers) if s not in exclude]
+            pool = preferred or fallback
+            if not pool:
+                continue  # degenerate cluster: nowhere to go
+            new_server = _pick(self._rng, pool)
+            source = server
+            replacement = Block(
+                block_id=block.block_id,
+                dataset_id=block.dataset_id,
+                size=block.size,
+                replicas=survivors + (new_server,),
+            )
+            self._blocks[block_id] = replacement
+            dataset = self._datasets.get(block.dataset_id)
+            if dataset is not None:
+                dataset.blocks[:] = [
+                    replacement if b.block_id == block_id else b for b in dataset.blocks
+                ]
+            self._blocks_by_server[new_server].add(block_id)
+            self._blocks_by_server[server].discard(block_id)
+            transfers.append((replacement, source, new_server))
+        return transfers
+
 
 @st.composite
 def placement_cases(draw):
     """A small fabric, a replication factor and a run of placements.
 
     Returns ``(spec, replication_factor, seed, standing, dataset,
-    singles)``: ``standing`` is a list of ``(blocks, writer)`` datasets
-    created together, ``dataset`` one ``(blocks, writer, home_servers,
-    home_bias)`` dataset and ``singles`` the writers of lone
-    ``choose_replicas`` calls; a writer of ``None`` draws the first
-    replica.
+    singles, evacuated)``: ``standing`` is a list of ``(blocks,
+    writer)`` datasets created together, ``dataset`` one ``(blocks,
+    writer, home_servers, home_bias)`` dataset, ``singles`` the writers
+    of lone ``choose_replicas`` calls and ``evacuated`` the servers
+    evacuated after them, in order; a writer of ``None`` draws the
+    first replica.
     """
     kind = draw(st.sampled_from(["tree", "fat_tree", "leaf_spine"]))
     servers = draw(st.integers(min_value=1, max_value=8))
@@ -130,19 +208,29 @@ def placement_cases(draw):
         home_bias,
     )
     singles = draw(st.lists(writer, max_size=4))
+    evacuated = draw(st.lists(server, max_size=2))
     return (spec, draw(st.integers(min_value=1, max_value=5)),
             draw(st.integers(min_value=0, max_value=2**32 - 1)),
-            standing, dataset, singles)
+            standing, dataset, singles, evacuated)
+
+
+def _block_row(block):
+    return (block.block_id, block.dataset_id, block.size, block.replicas)
 
 
 def _placement_state(store, rng):
-    """Blocks, datasets and per-server sets of a store, and the next draw."""
+    """Blocks, datasets and per-server blocks of a store, read through
+    its public calls, and the generator's next draw."""
+    blocks = [store.block(block_id) for block_id in range(store.num_blocks)]
+    datasets = {}
+    for dataset_id in sorted({block.dataset_id for block in blocks}):
+        dataset = store.dataset(dataset_id)
+        datasets[dataset_id] = (dataset.name, [_block_row(b) for b in dataset.blocks])
     return (
-        {block_id: (block.dataset_id, block.size, block.replicas)
-         for block_id, block in store._blocks.items()},
-        {dataset_id: (dataset.name, [block.block_id for block in dataset.blocks])
-         for dataset_id, dataset in store._datasets.items()},
-        {server: sorted(ids) for server, ids in store._blocks_by_server.items()},
+        [_block_row(block) for block in blocks],
+        datasets,
+        {server: [block.block_id for block in store.blocks_on(server)]
+         for server in range(store.topology.num_servers)},
         int(rng.integers(1 << 30)),
     )
 
@@ -192,11 +280,12 @@ class TestPlacement:
     @settings(max_examples=150)
     @given(placement_cases())
     def test_batched_placement_matches_per_block_oracle(self, case):
-        """Every placement path gives the per-block oracle's blocks,
-        replicas and per-server sets, and the same next draw."""
-        spec, replication_factor, seed, standing, dataset, singles = case
+        """Every placement path, then evacuations of drawn servers, give
+        the per-block oracle's blocks, datasets, per-server blocks and
+        moves, and the same next draw."""
+        spec, replication_factor, seed, standing, dataset, singles, evacuated = case
         topo = ClusterTopology(spec)
-        states, single_replicas = [], []
+        states, single_replicas, moves = [], [], []
         for cls in (BlockStore, OracleStore):
             rng = np.random.default_rng(seed)
             store = cls(topo, rng=rng, replication_factor=replication_factor)
@@ -211,8 +300,14 @@ class TestPlacement:
             store.create_dataset("d", (count - 0.5) * MB, 1 * MB, writer=writer,
                                  home_servers=home_servers, home_bias=home_bias)
             single_replicas.append([store.choose_replicas(w) for w in singles])
+            moves.append([
+                [(*_block_row(block), source, target)
+                 for block, source, target in store.evacuate(server)]
+                for server in evacuated
+            ])
             states.append(_placement_state(store, rng))
         assert single_replicas[0] == single_replicas[1]
+        assert moves[0] == moves[1]
         assert states[0] == states[1]
 
     @pytest.mark.parametrize("pattern", [
@@ -376,3 +471,77 @@ class TestEvacuation:
         store.evacuate(1)
         after = sum(store.bytes_on(s) for s in range(tiny_topology.num_servers))
         assert after == pytest.approx(before)
+
+    def test_unmovable_block_stays_on_its_server(self):
+        # Every server already holds the block, so it has nowhere to go:
+        # it stays where it is, and its server still reports it.
+        topo = ClusterTopology(ClusterSpec(racks=1, servers_per_rack=3,
+                                           racks_per_vlan=1, external_hosts=0))
+        store = BlockStore(topo, rng=np.random.default_rng(5))
+        dataset = store.create_dataset("d", total_bytes=200 * MB,
+                                       block_size=100 * MB, writer=0)
+        assert store.evacuate(0) == []
+        assert [block.block_id for block in store.blocks_on(0)] == [0, 1]
+        assert store.bytes_on(0) == pytest.approx(200 * MB)
+        assert store.occupied_servers() == [0, 1, 2]
+        assert all(0 in block.replicas for block in dataset.blocks)
+
+
+class TestColumnarStore:
+    def test_occupied_servers_counts_every_replica(self, store, tiny_topology):
+        store.create_dataset("d", total_bytes=300 * MB, block_size=100 * MB, writer=5)
+        holders = {server for block in store.dataset(0).blocks
+                   for server in block.replicas}
+        assert len(holders) > 1
+        assert store.occupied_servers() == sorted(holders) == [
+            s for s in range(tiny_topology.num_servers) if store.bytes_on(s) > 0
+        ]
+
+    def test_occupied_servers_follow_evacuation(self, store, tiny_topology):
+        store.create_dataset("d", total_bytes=500 * MB, block_size=100 * MB, writer=3)
+        store.evacuate(3)
+        occupied = store.occupied_servers()
+        assert 3 not in occupied
+        assert occupied == [
+            s for s in range(tiny_topology.num_servers) if store.bytes_on(s) > 0
+        ]
+
+    def test_datasets_have_consecutive_block_ids(self, store, tiny_topology):
+        home = list(tiny_topology.servers_in_rack(1))
+        first = store.create_dataset("a", 250 * MB, 100 * MB)
+        homed = store.create_dataset("b", 450 * MB, 100 * MB,
+                                     home_servers=home, home_bias=0.5)
+        many = store.create_datasets([("c", 150 * MB, 2), ("e", 50 * MB, None)],
+                                     block_size=100 * MB)
+        ids = [[block.block_id for block in dataset.blocks]
+               for dataset in (first, homed, *many)]
+        assert ids == [[0, 1, 2], [3, 4, 5, 6, 7], [8, 9], [10]]
+        assert store.num_blocks == 11
+        assert [dataset.num_blocks for dataset in many] == [2, 1]
+
+    def test_bad_placement_rejected_where_it_is_created(self, store, monkeypatch):
+        monkeypatch.setattr(store, "_place",
+                            lambda writers: np.zeros((writers.size, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match="distinct"):
+            store.create_dataset("d", total_bytes=300 * MB, block_size=100 * MB)
+        assert store.num_blocks == 0
+
+    def test_paper_scale_standing_store_is_small(self):
+        """The 49,152 standing blocks of a 1,536-server cluster take a
+        few MiB once built (one object, tuple, dict entry and three set
+        entries per block took ~29 MiB)."""
+        topo = ClusterTopology(ClusterSpec(racks=64, servers_per_rack=24,
+                                           racks_per_vlan=8, external_hosts=0))
+        workload = WorkloadConfig()
+        specs = [(f"standing-{server}", workload.initial_data_per_server, server)
+                 for server in range(topo.num_servers)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = BlockStore(topo, rng=np.random.default_rng(7))
+            store.create_datasets(specs, block_size=workload.block_size)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 6 * 2**20, f"standing store holds {held / 2**20:.1f} MiB"
+        assert store.num_blocks == 49152

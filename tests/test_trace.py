@@ -291,6 +291,22 @@ class TestDatasetFromTrace:
         assert dataset.extras["trace_path"] == str(path)
         assert dataset.observed_utilization.shape[0] == dataset.observed_links.size
 
+    def test_link_load_sidecar_loaded_once(self, recorded, monkeypatch):
+        from repro.experiments import dataset_from_trace
+
+        path, _ = recorded
+        real = TraceReader.linkloads
+        calls = []
+
+        def spy(reader):
+            calls.append(reader.path)
+            return real(reader)
+
+        monkeypatch.setattr(TraceReader, "linkloads", spy)
+        dataset = dataset_from_trace(path)
+        assert dataset.utilization.shape[0] > 0
+        assert len(calls) == 1
+
     def test_unknown_cluster_spec_keys_dropped(self, recorded, tmp_path):
         # A key a newer writer added to the spec must not stop the dataset
         # from loading a trace the streaming pass reads.
