@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 from .cluster.routing import DEFAULT_FLOWLET_GAP, ROUTING_IMPLS
 from .cluster.topology import ClusterSpec
 from .instrumentation.collector import CollectorConfig
+from .simulation.cc.cwnd import CC_VARIANTS
 from .simulation.cc.params import CongestionControlConfig
-from .simulation.impls import transport_impl_names
+from .simulation.transport import TRANSPORT_IMPLS
 from .workload.generator import WorkloadConfig
 
 __all__ = ["SimulationConfig"]
@@ -32,18 +33,14 @@ class SimulationConfig:
     seed: int = 0
     #: Bandwidth-sharing model: "maxmin" (default) or "bottleneck".
     fairness: str = "maxmin"
-    #: Transport implementation, resolved through the shared registry in
-    #: :mod:`repro.simulation.impls`.  The fluid family: "vectorized"
-    #: (default, the fast adaptive allocator), "reference" (the original
-    #: round-based loop), "csr" (the batched CSR elimination pinned on
-    #: for every active-set size), and "incremental" (paper-scale:
-    #: re-solves only the affected bottleneck subgraph per
-    #: arrival/departure).  The first three produce bit-identical event
-    #: logs — the switch exists so differential tests and ``repro
-    #: validate`` can prove it; "incremental" is equivalent within a
-    #: documented tolerance (``repro.simulation.waterfill.INCREMENTAL_RTOL``)
-    #: checked by the ``transport.incremental_equivalence`` validator.
-    #: The queued family ("dctcp", "reno", "ecn_taildrop") swaps in the
+    #: Transport implementation.  The fluid family: "vectorized"
+    #: (default, the exact max-min allocator, bit-identical to the
+    #: round-based reference loop at every scale) and "incremental"
+    #: (re-solves only the affected bottleneck subgraph per
+    #: arrival/departure; equivalent within a documented tolerance,
+    #: ``repro.simulation.waterfill.INCREMENTAL_RTOL``, checked by the
+    #: ``transport.incremental_equivalence`` validator).  The queued
+    #: family ("dctcp", "reno", "ecn_taildrop") swaps in the
     #: discrete-stepped congestion-control transport from
     #: :mod:`repro.simulation.cc`, parameterised by :attr:`cc`.
     transport_impl: str = "vectorized"
@@ -79,7 +76,7 @@ class SimulationConfig:
             raise ValueError("duration must be positive")
         if self.fairness not in ("maxmin", "bottleneck"):
             raise ValueError(f"unknown fairness mode {self.fairness!r}")
-        valid_impls = transport_impl_names()
+        valid_impls = TRANSPORT_IMPLS + CC_VARIANTS
         if self.transport_impl not in valid_impls:
             raise ValueError(
                 f"unknown transport impl {self.transport_impl!r}; "

@@ -1,9 +1,11 @@
 """Simulation substrate: event engine, transports, link loads.
 
 Two transport families share the engine: the fluid max-min allocators
-(:class:`FluidTransport`) and the queue-aware congestion-control
-variants in :mod:`repro.simulation.cc`; both register their impl names
-in :mod:`repro.simulation.impls`.
+(:class:`FluidTransport`, ``transport_impl`` ``"vectorized"`` or
+``"incremental"``) and the queue-aware congestion-control variants in
+:mod:`repro.simulation.cc` (``"dctcp"``, ``"reno"``,
+``"ecn_taildrop"``).  ``SimulationConfig`` accepts exactly these five
+names.
 
 ``Simulator``/``SimulationResult``/``simulate`` are exported lazily: the
 simulator imports the instrumentation layer, which imports the transport
@@ -15,7 +17,6 @@ queued campaigns.
 """
 
 from .engine import EventEngine
-from .impls import register_transport_impl, transport_family, transport_impl_names
 from .linkloads import LinkLoadTracker
 from .transport import FluidTransport, Transfer, TransferMeta
 
@@ -28,9 +29,6 @@ __all__ = [
     "Simulator",
     "SimulationResult",
     "simulate",
-    "register_transport_impl",
-    "transport_family",
-    "transport_impl_names",
     "QueuedTransport",
     "CCReport",
 ]

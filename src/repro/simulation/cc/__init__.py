@@ -8,13 +8,12 @@ windows driven by DCTCP / Reno / classic-ECN state machines
 (:mod:`~repro.simulation.cc.transport`) that plugs into the existing
 :class:`~repro.simulation.simulator.Simulator` behind
 ``SimulationConfig.transport_impl`` values ``"dctcp"``, ``"reno"`` and
-``"ecn_taildrop"``.  Importing the package registers those names in the
-shared transport-impl registry (:mod:`repro.simulation.impls`).
+``"ecn_taildrop"`` (:data:`CC_VARIANTS`, which the config and the
+simulator read to tell the queued family from the fluid one).
 """
 
 from __future__ import annotations
 
-from ..impls import register_transport_impl
 from .cwnd import CC_VARIANTS
 from .params import CongestionControlConfig
 from .queue import LinkQueues
@@ -39,7 +38,3 @@ __all__ = [
     "run_incast",
     "run_incast_with_report",
 ]
-
-for _variant in CC_VARIANTS:
-    register_transport_impl(_variant, "queued")
-del _variant

@@ -29,8 +29,8 @@ from ..util.randomness import RandomSource
 from ..workload.generator import WorkloadSchedule, generate_schedule
 from ..workload.job import JobRuntime
 from ..workload.runtime import JobExecutor
+from .cc.cwnd import CC_VARIANTS
 from .engine import EventEngine
-from .impls import transport_family
 from .linkloads import LinkLoadTracker
 from .transport import FluidTransport, Transfer, TransferMeta
 
@@ -81,7 +81,7 @@ class Simulator:
         self.link_loads = LinkLoadTracker(
             self.topology, bin_width=1.0, horizon=config.duration
         )
-        if transport_family(config.transport_impl) == "queued":
+        if config.transport_impl in CC_VARIANTS:
             from .cc.transport import QueuedTransport
 
             self.transport: FluidTransport | QueuedTransport = QueuedTransport(

@@ -11,13 +11,12 @@ A cheaper ``bottleneck`` mode allocates each flow ``capacity / count`` on
 its most contended link without redistributing leftovers; it serves as an
 ablation and a cross-check on the exact allocator.
 
-The water-filling itself lives in :mod:`repro.simulation.waterfill`,
-which provides the four ``impl`` choices surfaced as
-``SimulationConfig.transport_impl``: ``reference`` (the round-based
-ground-truth loop), ``vectorized`` (the bit-identical adaptive heap/CSR
-replay), ``csr`` (the batched CSR elimination pinned regardless of
-active-set size), and ``incremental`` (the paper-scale allocator that
-re-solves only the affected bottleneck subgraph on each
+The water-filling itself lives in :mod:`repro.simulation.waterfill`.
+``SimulationConfig.transport_impl`` picks one of two allocators:
+``vectorized`` (the exact one: a heap loop over the maintained table,
+or the batched CSR elimination at large active sets, both bit-identical
+to the round-based reference loop) and ``incremental`` (the allocator
+that re-solves only the affected bottleneck subgraph on each
 arrival/departure — tolerance-based, see
 :data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`).
 
@@ -61,25 +60,18 @@ from typing import Callable, Protocol
 import numpy as np
 
 from ..cluster.topology import ClusterTopology
-from .impls import register_transport_impl
 from .waterfill import (
     IncidenceTable,
     IncrementalMaxMin,
     bottleneck_rates,
-    maxmin_rates_reference,
     maxmin_rates_vectorized,
 )
 
 __all__ = ["ActiveFlows", "TransferMeta", "Transfer", "FluidTransport", "LoadSink"]
 
-#: Accepted ``impl`` constructor values (mirrored by
-#: ``SimulationConfig.transport_impl``; registered in the shared
-#: transport-impl registry below).
-TRANSPORT_IMPLS = ("vectorized", "reference", "csr", "incremental")
-
-for _impl in TRANSPORT_IMPLS:
-    register_transport_impl(_impl, "fluid")
-del _impl
+#: Accepted ``impl`` constructor values: the fluid half of
+#: ``SimulationConfig.transport_impl``.
+TRANSPORT_IMPLS = ("vectorized", "incremental")
 
 #: Completion-frontier depth: how many upcoming completion times are
 #: materialised per rate epoch.  Deep enough to absorb a burst of
@@ -428,31 +420,21 @@ class FluidTransport:
     def _maxmin_rates(self) -> np.ndarray:
         """Max-min fair allocation via the configured allocator.
 
-        All implementations live in :mod:`repro.simulation.waterfill`.
-        ``reference``, ``vectorized``, and ``csr`` produce bit-identical
-        rates; ``incremental`` re-solves only the affected bottleneck
-        subgraph and is equivalent within
-        :data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`.  The heap
-        regime reads the maintained incidence table.
+        Both allocators live in :mod:`repro.simulation.waterfill`.
+        ``vectorized`` reproduces the round-based reference loop bit for
+        bit, reading the maintained incidence table on the heap path;
+        ``incremental`` re-solves only the affected bottleneck subgraph
+        and is equivalent within
+        :data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`.
         """
         paths, valid = self._padded_paths()
-        if self.impl == "reference":
-            return maxmin_rates_reference(
-                paths, valid, self.capacities, self.num_links
-            )
-        if self.impl == "incremental":
-            assert self._inc is not None
+        if self._inc is not None:
             return self._inc.solve(
                 np.array(self._incidence.slots, dtype=np.int64), paths, valid,
                 table=self._incidence,
             )
         return maxmin_rates_vectorized(
-            paths,
-            valid,
-            self.capacities,
-            self.num_links,
-            regime="csr" if self.impl == "csr" else "auto",
-            table=self._incidence,
+            paths, valid, self.capacities, self.num_links, table=self._incidence
         )
 
     # ------------------------------------------------------------- frontier

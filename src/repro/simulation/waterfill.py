@@ -5,21 +5,24 @@ fluid transport's progressive-filling ("water-filling") allocation, and a
 campaign recomputes it after every event batch — profiling shows it is
 the single most expensive operation in the pipeline (see
 ``benchmarks/bench_core_ops.py::test_maxmin_waterfill``).  This module
-holds the three interchangeable implementations:
+holds the reference loop and the two allocators
+``SimulationConfig.transport_impl`` selects:
 
 ``maxmin_rates_reference``
-    The original round-based NumPy loop, kept verbatim.  Selected with
-    ``SimulationConfig.transport_impl = "reference"``; the differential
-    tests and the ``transport.allocator_equivalence`` checker assert the
-    optimised paths below reproduce it *bit for bit*, so a reference run
-    and a vectorized run produce identical event logs.
+    The original round-based NumPy loop, kept verbatim as the oracle.
+    No config selects it; the differential tests substitute it for the
+    exact allocator, and they and the ``transport.allocator_equivalence``
+    checker assert the optimised paths below reproduce it *bit for
+    bit*, so a reference run and a vectorized run produce identical
+    event logs.
 
 ``maxmin_rates_vectorized``
-    The production allocator.  It exploits two structural facts of
-    progressive filling with level grouping: each link saturates in at
-    most one round, and each flow is assigned in exactly one round — so
-    total work can be made proportional to the number of (flow, link)
-    incidences rather than ``rounds x flows``.  Two regimes:
+    The exact allocator (``transport_impl = "vectorized"``).  It
+    exploits two structural facts of progressive filling with level
+    grouping: each link saturates in at most one round, and each flow is
+    assigned in exactly one round — so total work can be made
+    proportional to the number of (flow, link) incidences rather than
+    ``rounds x flows``.  Two regimes, picked by the active-set size:
 
     * **small active sets** (the common campaign case): a lazy min-heap
       of link shares drives the rounds entirely in Python, reading an
@@ -38,14 +41,15 @@ holds the three interchangeable implementations:
 
     Both regimes replay the reference rounds with the same IEEE-754
     operations in the same order, so the allocations are bit-identical;
-    they differ only in bookkeeping.
+    they differ only in bookkeeping.  Tests reach each regime directly
+    through ``_maxmin_heap`` and ``_maxmin_csr``.
 
 ``bottleneck_rates``
     The cheap ablation mode: equal split on each link, no leftover
     redistribution.  Shared by every implementation.
 
 ``IncrementalMaxMin``
-    The paper-scale allocator, selected with
+    The stateful allocator, selected with
     ``SimulationConfig.transport_impl = "incremental"``.  Instead of
     re-running water-filling over *all* active flows on every arrival
     and departure, it maintains the bottleneck structure — per-link
@@ -252,28 +256,22 @@ def maxmin_rates_vectorized(
     valid: np.ndarray,
     capacities: np.ndarray,
     num_links: int,
-    regime: str = "auto",
     table: IncidenceTable | None = None,
 ) -> np.ndarray:
     """Bit-identical fast replay of :func:`maxmin_rates_reference`.
 
     Dispatches between the heap regime (small active sets, Python
-    rounds) and the CSR regime (large active sets, batched NumPy
-    elimination) on ``_CSR_FLOW_THRESHOLD``; both produce the exact
-    floats of the reference loop, so the choice never shows up in an
-    event log.  ``regime`` forces one path ("heap" or "csr") — that is
-    how ``transport_impl = "csr"`` pins the batched elimination for
-    differential tests regardless of the active-set size.  ``table``
-    is a maintained :class:`IncidenceTable` whose ascending slots are
-    exactly the rows of ``paths``; without one the heap regime builds
-    it from ``(paths, valid)`` for this call.
+    rounds) and the CSR regime (``_CSR_FLOW_THRESHOLD`` flows or more,
+    batched NumPy elimination); both produce the exact floats of the
+    reference loop, so the choice never shows up in an event log.
+    ``table`` is a maintained :class:`IncidenceTable` whose ascending
+    slots are exactly the rows of ``paths``; without one the heap
+    regime builds it from ``(paths, valid)`` for this call.
     """
     num_flows = paths.shape[0]
     if num_flows == 0:
         return np.zeros(0)
-    if regime == "csr" or (
-        regime == "auto" and num_flows >= _CSR_FLOW_THRESHOLD
-    ):
+    if num_flows >= _CSR_FLOW_THRESHOLD:
         return _maxmin_csr(paths, valid, capacities, num_links)
     if table is None:
         table = IncidenceTable.from_paths(paths, valid, num_links)
@@ -566,18 +564,9 @@ class IncrementalMaxMin:
     the flows involved, never a Python loop over flows.
     """
 
-    def __init__(
-        self,
-        capacities: np.ndarray,
-        num_links: int,
-        *,
-        rtol: float = INCREMENTAL_RTOL,
-        reanchor_interval: int = _REANCHOR_INTERVAL,
-    ) -> None:
+    def __init__(self, capacities: np.ndarray, num_links: int) -> None:
         self.capacities = np.asarray(capacities, dtype=float)
         self.num_links = num_links
-        self.rtol = rtol
-        self.reanchor_interval = reanchor_interval
         #: Total allocated bandwidth per link under the current rates.
         self.link_consumed = np.zeros(num_links)
         #: Unredistributed bandwidth churn per link since it was last
@@ -685,7 +674,7 @@ class IncrementalMaxMin:
             return np.zeros(0)
         if not self._anchored:
             return self._full_solve(active_idx, paths, valid, table, "unanchored")
-        if self._solves_since_anchor >= self.reanchor_interval:
+        if self._solves_since_anchor >= _REANCHOR_INTERVAL:
             return self._full_solve(active_idx, paths, valid, table, "cadence")
         # Flat incidence view, shared by the consumption rebuild and the
         # starvation sweeps (paths/valid stay fixed within one solve).
@@ -706,7 +695,8 @@ class IncrementalMaxMin:
         self.pending_new.clear()
         hot = np.flatnonzero(
             self.churn
-            > _CHURN_BUDGET * self.rtol * np.maximum(self.capacities, 1.0)
+            > _CHURN_BUDGET * INCREMENTAL_RTOL
+            * np.maximum(self.capacities, 1.0)
         )
         if hot.size:
             affected: set[int] = set()
@@ -812,7 +802,7 @@ class IncrementalMaxMin:
         achievable[counts == 0] = np.inf
         rows = np.flatnonzero(
             np.isfinite(achievable)
-            & (achievable - rates > self.rtol * np.maximum(rates, 1.0))
+            & (achievable - rates > INCREMENTAL_RTOL * np.maximum(rates, 1.0))
         )
         if rows.size == 0:
             return rows, np.empty(0, dtype=np.int64)
@@ -928,14 +918,16 @@ class IncrementalMaxMin:
         sub_caps = np.maximum(self.capacities[link_arr] - external, 0.0)
         # Mid-size subproblems (hundreds of flows) sit below the global
         # CSR threshold but already favour batched elimination over the
-        # heap walk; tiny cohorts stay on the adaptive default.
-        sub_rates = maxmin_rates_vectorized(
-            sub_paths,
-            sub_valid,
-            sub_caps,
-            num_sub_links,
-            regime="csr" if flow_arr.size >= 256 else None,
-        )
+        # heap walk; smaller ones take the heap.
+        if flow_arr.size >= 256:
+            sub_rates = _maxmin_csr(
+                sub_paths, sub_valid, sub_caps, num_sub_links
+            )
+        else:
+            sub_rates = _maxmin_heap(
+                IncidenceTable.from_paths(sub_paths, sub_valid, num_sub_links),
+                sub_caps,
+            )
         internal_new = np.bincount(
             sub_paths[sub_valid],
             weights=np.repeat(sub_rates, counts),
@@ -994,7 +986,7 @@ class IncrementalMaxMin:
             level, flat, np.repeat(self.rates_by_slot[slots], valid.sum(axis=1))
         )
         residual = self.capacities - self.link_consumed
-        saturated = residual <= self.rtol * np.maximum(self.capacities, 1.0)
+        saturated = residual <= INCREMENTAL_RTOL * np.maximum(self.capacities, 1.0)
         rank = np.where(saturated, level, level.max(initial=0.0) + 1.0 + residual)
         padded = np.where(valid, rank[np.maximum(paths, 0)], np.inf)
         tightest = padded.argmin(axis=1)

@@ -720,12 +720,12 @@ def check_inline_transport(ctx) -> list[Violation]:
 def check_allocator_equivalence(ctx) -> list[Violation]:
     """Both water-filling allocators agree bitwise on the live active set.
 
-    This is the invariant that makes ``transport_impl`` a pure
-    performance switch: the vectorized allocator must reproduce the
-    reference loop's floats exactly, so reference and vectorized runs
-    yield identical event logs.  Comparison is ``array_equal`` — any
-    tolerance here would hide drift that compounds into divergent
-    completion times.
+    This is the invariant that keeps the exact allocator's heap and CSR
+    regimes pure performance choices: the vectorized allocator must
+    reproduce the reference loop's floats exactly, so a run on either
+    regime, or on the reference loop itself, yields the same event log.
+    Comparison is ``array_equal`` — any tolerance here would hide drift
+    that compounds into divergent completion times.
     """
     from ..simulation.waterfill import (
         maxmin_rates_reference,

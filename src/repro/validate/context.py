@@ -348,16 +348,17 @@ class ValidationContext:
         """Which transport family produced this campaign.
 
         Resolved from the config when present, from trace metadata for
-        trace-backed contexts, defaulting to ``"fluid"`` for artefacts
-        predating the queued transports.
+        trace-backed contexts.  A congestion-control variant name reads
+        as ``"queued"``; every other name reads as ``"fluid"``, so
+        artefacts predating the queued transports (no impl recorded) and
+        traces recorded under the retired fluid names ``"reference"`` and
+        ``"csr"`` stay readable.
         """
         impl = None
         if self.config is not None:
             impl = self.config.transport_impl
         elif self.reader is not None:
             impl = self.reader.meta.get("transport_impl")
-        if impl is None:
-            return "fluid"
-        from ..simulation.impls import transport_family
+        from ..simulation.cc.cwnd import CC_VARIANTS
 
-        return transport_family(impl)
+        return "queued" if impl in CC_VARIANTS else "fluid"

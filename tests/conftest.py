@@ -8,6 +8,8 @@ structures instead.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -16,6 +18,7 @@ from repro.cluster.routing import Router
 from repro.cluster.topology import ClusterSpec, ClusterTopology
 from repro.config import SimulationConfig
 from repro.experiments.common import ExperimentDataset, build_dataset, small_config
+from repro.simulation import transport, waterfill
 
 # Property tests must be deterministic in CI: fixed derivation, no
 # wall-clock deadline flakes, a bounded example budget.
@@ -101,3 +104,54 @@ def assert_invariants():
         return report
 
     return check
+
+
+@pytest.fixture()
+def force_allocator():
+    """Force the exact fluid allocator onto one of its oracles.
+
+    ``with force_allocator(name) as transport_impl:`` yields the
+    ``transport_impl`` to configure the runs inside the block with.
+    The two oracles run as ``"vectorized"`` with its allocator forced:
+
+    * ``"reference"`` puts an adapter over ``maxmin_rates_reference``,
+      the round-based loop, where the fluid transport calls
+      ``maxmin_rates_vectorized``;
+    * ``"csr"`` sets ``waterfill._CSR_FLOW_THRESHOLD`` to 0, so every
+      exact solve takes the batched CSR elimination.
+
+    Any other name is yielded unchanged and forces nothing.  A block
+    that forced an oracle fails unless the oracle ran at least once, so
+    a substitution that stops taking effect cannot pass silently as the
+    production path (the ``tree/reference`` and ``tree/vectorized``
+    digests are equal).
+    """
+
+    @contextmanager
+    def force(name: str):
+        if name not in ("reference", "csr"):
+            yield name
+            return
+        calls: list[int] = []
+        with pytest.MonkeyPatch.context() as patch:
+            if name == "reference":
+                def allocate(paths, valid, capacities, num_links, table=None):
+                    calls.append(paths.shape[0])
+                    return waterfill.maxmin_rates_reference(
+                        paths, valid, capacities, num_links
+                    )
+
+                patch.setattr(transport, "maxmin_rates_vectorized", allocate)
+            else:
+                csr = waterfill._maxmin_csr
+
+                def allocate(paths, valid, capacities, num_links):
+                    calls.append(paths.shape[0])
+                    return csr(paths, valid, capacities, num_links)
+
+                patch.setattr(waterfill, "_CSR_FLOW_THRESHOLD", 0)
+                patch.setattr(waterfill, "_maxmin_csr", allocate)
+            yield "vectorized"
+        assert calls, f"the forced {name!r} allocator never ran"
+
+    return force

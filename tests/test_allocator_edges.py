@@ -1,13 +1,14 @@
-"""Allocator edge cases across every ``transport_impl``, plus the
+"""Allocator edge cases across every water-filling allocator, plus the
 add/finish interleaving property test.
 
-The four water-filling implementations share one contract: no link is
-ever oversubscribed, and rates agree with the round-based reference —
-bitwise for the exact impls, within ``INCREMENTAL_RTOL`` for the
-incremental allocator.  The edge cases here are the shapes a campaign
-hits rarely but fatally: zero-capacity links, a path saturated end to
-end, arrivals and departures folded into one batch, and the active set
-draining to empty.
+The round-based reference loop, the exact allocator (``vectorized``),
+its CSR regime (``csr``, called directly) and the incremental allocator
+share one contract: no link is ever oversubscribed, and rates agree
+with the round-based reference — bitwise for the exact ones, within
+``INCREMENTAL_RTOL`` for the incremental allocator.  The edge cases
+here are the shapes a campaign hits rarely but fatally: zero-capacity
+links, a path saturated end to end, arrivals and departures folded into
+one batch, and the active set draining to empty.
 """
 
 from __future__ import annotations
@@ -53,11 +54,10 @@ def _solve(impl: str, flows, capacities: np.ndarray) -> np.ndarray:
     paths, valid = _paths_array(flows)
     if impl == "reference":
         return maxmin_rates_reference(paths, valid, capacities, num_links)
-    if impl in ("vectorized", "csr"):
-        return maxmin_rates_vectorized(
-            paths, valid, capacities, num_links,
-            regime="csr" if impl == "csr" else "auto",
-        )
+    if impl == "vectorized":
+        return maxmin_rates_vectorized(paths, valid, capacities, num_links)
+    if impl == "csr":
+        return waterfill._maxmin_csr(paths, valid, capacities, num_links)
     inc = IncrementalMaxMin(capacities, num_links)
     for slot, links in enumerate(flows):
         inc.on_add(slot, tuple(links))

@@ -24,8 +24,8 @@ from repro.simulation.cc.cwnd import (
     halve,
     timeout_collapse,
 )
-from repro.simulation.impls import transport_family, transport_impl_names
-from repro.simulation.transport import TransferMeta
+from repro.simulation.transport import TRANSPORT_IMPLS, TransferMeta
+from repro.validate import ValidationContext
 from strategies import cc_configs
 
 
@@ -216,20 +216,32 @@ class TestTickReductionOrder:
             assert np.array_equal(factors[half], expected)
 
 
+def _family(impl: str) -> str:
+    """The family a config context running ``impl`` reads as."""
+    config = SimulationConfig(transport_impl=impl)
+    return ValidationContext(config=config).transport_family
+
+
 class TestRegistry:
+    """The ``transport_impl`` contract: the five names the config
+    accepts, and the family each one reads as."""
+
     def test_all_variants_registered_as_queued(self):
-        names = transport_impl_names()
         for variant in CC_VARIANTS:
-            assert variant in names
-            assert transport_family(variant) == "queued"
+            assert _family(variant) == "queued"
 
     def test_fluid_impls_still_fluid(self):
-        assert transport_family("vectorized") == "fluid"
-        assert transport_family("reference") == "fluid"
+        assert TRANSPORT_IMPLS == ("vectorized", "incremental")
+        for impl in TRANSPORT_IMPLS:
+            assert _family(impl) == "fluid"
 
     def test_unknown_impl_rejected_with_catalogue(self):
-        with pytest.raises(ValueError, match="dctcp"):
-            transport_family("bogus")
+        # The exact allocator's oracles are test fixtures, not configs.
+        for name in ("reference", "csr", "bogus"):
+            with pytest.raises(ValueError, match="transport impl") as info:
+                SimulationConfig(transport_impl=name)
+            for accepted in TRANSPORT_IMPLS + CC_VARIANTS:
+                assert repr(accepted) in str(info.value)
 
     def test_config_accepts_queued_impl(self):
         config = SimulationConfig(transport_impl="dctcp")

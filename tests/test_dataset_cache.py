@@ -55,7 +55,7 @@ def tiny_config(seed: int = 0, duration: float = 20.0) -> SimulationConfig:
 _SPECIAL = {
     "fairness": lambda value: "bottleneck" if value == "maxmin" else "maxmin",
     "transport_impl": lambda value: (
-        "reference" if value == "vectorized" else "vectorized"
+        "incremental" if value == "vectorized" else "vectorized"
     ),
     "routing_impl": lambda value: "ecmp" if value == "single" else "single",
     "topology_kind": lambda value: (

@@ -96,32 +96,36 @@ _TREE_CONFIG = SimulationConfig(
     seed=_FUZZ_SEED % 1000,
 )
 
+#: The two fluid ``transport_impl`` values and the exact allocator's two
+#: oracles, which run under ``force_allocator``.
 _FLUID_IMPLS = ("vectorized", "reference", "csr", "incremental")
 
 
 @pytest.mark.parametrize("transport_impl", _FLUID_IMPLS)
-def test_tree_bit_identical_across_routing(transport_impl, tmp_path):
+def test_tree_bit_identical_across_routing(
+    transport_impl, tmp_path, force_allocator
+):
     """On the tree every equal-cost set is a singleton, so ECMP and
     flowlet routing degenerate to the canonical path: per transport
     impl, every routing impl must produce byte-identical event streams
     (chunk content hashes) and link-load sidecars.  (Impls are compared
     within themselves, not to each other — completion ordering between
     the incremental and batch allocators differs by design, and did at
-    the seed revision too.)"""
+    the seed revision too.)  ``reference`` and ``csr`` are the exact
+    allocator's oracles, forced by the ``force_allocator`` fixture."""
     import dataclasses
 
     baseline = None
     for routing_impl in ("single", "ecmp", "flowlet"):
-        config = dataclasses.replace(
-            _TREE_CONFIG,
-            transport_impl=transport_impl,
-            routing_impl=routing_impl,
-        )
-        record = record_trace(
-            config,
-            tmp_path / f"tree-{transport_impl}-{routing_impl}.reprotrace",
-            chunk_size=512,
-        )
+        with force_allocator(transport_impl) as impl:
+            config = dataclasses.replace(
+                _TREE_CONFIG, transport_impl=impl, routing_impl=routing_impl
+            )
+            record = record_trace(
+                config,
+                tmp_path / f"tree-{transport_impl}-{routing_impl}.reprotrace",
+                chunk_size=512,
+            )
         hashes = _chunk_hashes(record.manifest)
         loads_hash = record.manifest["linkloads"]["sha256"]
         assert hashes, "campaign produced no events"

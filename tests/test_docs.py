@@ -310,3 +310,33 @@ def test_documented_cli_commands_parse():
         except SystemExit:
             broken.append(f"{doc}: python -m repro{arguments}")
     assert not broken, "\n".join(broken)
+
+
+#: Docs that describe the current program.  CHANGES.md and ROADMAP.md
+#: are history: they name transport impls that no longer exist.
+_IMPL_DOCS = (
+    "README.md", "EXPERIMENTS.md", "ARCHITECTURE.md", "DESIGN.md",
+    "docs/OPERATIONS.md",
+)
+_NAMED_IMPL = re.compile(r"""transport_impl\s*=\s*["']([^"']*)["']""")
+
+
+def test_documented_transport_impls_construct_a_config():
+    """Every ``transport_impl="…"`` value the docs name is one a
+    ``SimulationConfig`` accepts, so no doc shows a reader a config
+    that raises."""
+    from repro.config import SimulationConfig
+
+    named = [
+        (doc, value)
+        for doc in _IMPL_DOCS
+        for value in _NAMED_IMPL.findall((_REPO_ROOT / doc).read_text())
+    ]
+    assert named
+    broken = []
+    for doc, value in named:
+        try:
+            SimulationConfig(transport_impl=value)
+        except ValueError:
+            broken.append(f"{doc}: transport_impl={value!r}")
+    assert not broken, "\n".join(broken)

@@ -5,12 +5,14 @@ that moves one float of one allocation or one integration step moves
 completion times, and with them every later output.  These digests pin,
 bit for bit, the socket log, the completed transfers, the link-load
 byte matrix and the run's allocation and completion counts for short
-campaigns under every fluid ``transport_impl``, under
-``fairness="bottleneck"``, on the multipath fabrics, and for a run that
-evacuates servers.  A pure speed-up of the transport, the allocator or
-block placement leaves every one of them unchanged; a change that alters
-a result (a reduction reordered, a slot reused in another order, a
-replica drawn from another list) fails here.
+campaigns under both fluid ``transport_impl`` values and the exact
+allocator's two oracles (``reference`` and ``csr``, forced by the
+``force_allocator`` fixture), under ``fairness="bottleneck"``, on the
+multipath fabrics, and for a run that evacuates servers.  A pure
+speed-up of the transport, the allocator or block placement leaves
+every one of them unchanged; a change that alters a result (a reduction
+reordered, a slot reused in another order, a replica drawn from another
+list) fails here.
 
 perfbench's ``tree_exact`` digests cover only the tree under
 single-path ``vectorized``; the runs here add the other impls, the
@@ -88,8 +90,11 @@ def fluid_digests(result) -> dict[str, str]:
     }
 
 
-def _config(name: str):
+def _config(name: str, transport_impl: str | None = None):
+    """The run ``name``, under ``transport_impl`` when given (what a
+    forced oracle runs as) and else under the impl the name gives."""
     fabric, impl, variant = name.split("/")
+    impl = transport_impl or impl
     if fabric == "tree":
         config = replace(
             small_config(seed=3), transport_impl=impl, duration=CAMPAIGN_SECONDS
@@ -152,8 +157,9 @@ def _pinned(name: str) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_fluid_outputs_pinned(name):
-    observed = fluid_digests(simulate(_config(name)))
+def test_fluid_outputs_pinned(name, force_allocator):
+    with force_allocator(name.split("/")[1]) as transport_impl:
+        observed = fluid_digests(simulate(_config(name, transport_impl)))
     pinned = _pinned(name)
     changed = {
         key: (value, pinned[key])

@@ -1,10 +1,13 @@
-"""Differential test: the four transport impls, end to end.
+"""Differential test: the fluid allocators and their oracles, end to end.
 
 Runs the seeded fuzz configs from :mod:`test_differential` through full
-campaigns under every ``transport_impl`` setting.  ``vectorized`` and
-``csr`` must be *identical* to ``reference`` — socket-event logs column
-for column, reconstructed flow tables, link-load matrices, and
-congestion episodes.  ``incremental`` is tolerance-based by design
+campaigns under both fluid ``transport_impl`` settings and under the
+exact allocator's two oracles, forced by the ``force_allocator``
+fixture.  ``vectorized`` and its CSR regime forced on every solve
+(``csr``) must be *identical* to the round-based ``reference`` loop —
+socket-event logs column for column, reconstructed flow tables,
+link-load matrices, and congestion episodes.  ``incremental`` is
+tolerance-based by design
 (documented ``INCREMENTAL_RTOL``): those campaigns are checked for
 matching workload structure plus the inline
 ``transport.incremental_equivalence`` validator on every batch, which
@@ -31,13 +34,15 @@ from test_differential import _random_configs
 
 @pytest.mark.parametrize("impl", ["vectorized", "csr"])
 @pytest.mark.parametrize("index,config", list(enumerate(_random_configs(3))))
-def test_exact_impls_match_reference(index, config, impl):
-    result_vec = simulate(
-        dataclasses.replace(config, transport_impl=impl)
-    )
-    result_ref = simulate(
-        dataclasses.replace(config, transport_impl="reference")
-    )
+def test_exact_impls_match_reference(index, config, impl, force_allocator):
+    with force_allocator(impl) as transport_impl:
+        result_vec = simulate(
+            dataclasses.replace(config, transport_impl=transport_impl)
+        )
+    with force_allocator("reference") as transport_impl:
+        result_ref = simulate(
+            dataclasses.replace(config, transport_impl=transport_impl)
+        )
 
     # Socket-event logs: identical column for column (bitwise).
     columns_vec = result_vec.socket_log.to_columns()
@@ -75,7 +80,9 @@ def test_exact_impls_match_reference(index, config, impl):
 
 
 @pytest.mark.parametrize("index,config", list(enumerate(_random_configs(2))))
-def test_incremental_tracks_reference_within_tolerance(index, config):
+def test_incremental_tracks_reference_within_tolerance(
+    index, config, force_allocator
+):
     """Incremental campaigns finish the same workload with continuously
     validated rates.
 
@@ -92,9 +99,10 @@ def test_incremental_tracks_reference_within_tolerance(index, config):
             config, transport_impl="incremental", validate_every_n_batches=1
         )
     )
-    result_ref = simulate(
-        dataclasses.replace(config, transport_impl="reference")
-    )
+    with force_allocator("reference") as transport_impl:
+        result_ref = simulate(
+            dataclasses.replace(config, transport_impl=transport_impl)
+        )
 
     assert result_inc.stats["jobs_submitted"] == result_ref.stats["jobs_submitted"]
     assert result_inc.stats["jobs_finished"] == result_ref.stats["jobs_finished"]

@@ -20,6 +20,7 @@ from repro.instrumentation.events import (
 )
 from repro.simulation.simulator import Simulator, simulate
 from repro.telemetry import Telemetry
+from repro.trace import TraceReader, TraceWriter
 from repro.validate import (
     ValidationContext,
     ValidationError,
@@ -87,6 +88,30 @@ class TestRegistry:
         skipped = report.result_for("trace.chunk_hashes")
         assert skipped.status == "skipped"
         assert "trace" in skipped.detail
+
+
+class TestTransportFamily:
+    """Which family a context reads, for traces of every vintage."""
+
+    @pytest.mark.parametrize("meta,family", [
+        # Fluid names no config accepts any more: the exact allocator's
+        # oracles, once selectable as ``transport_impl`` values.
+        ({"transport_impl": "reference"}, "fluid"),
+        ({"transport_impl": "csr"}, "fluid"),
+        ({"transport_impl": "dctcp"}, "queued"),
+        # Recorded before traces named their transport.
+        ({}, "fluid"),
+    ], ids=["reference", "csr", "dctcp", "unnamed"])
+    def test_old_traces_stay_readable(self, tmp_path, meta, family):
+        path = tmp_path / "old.reprotrace"
+        with TraceWriter(path, chunk_size=50, meta=meta):
+            pass
+        reader = TraceReader(path)
+        assert ValidationContext.from_trace(reader).transport_family == family
+
+    def test_incremental_config_reads_as_fluid(self):
+        config = SimulationConfig(transport_impl="incremental")
+        assert ValidationContext(config=config).transport_family == "fluid"
 
 
 class TestFreshArtifactsAreClean:
