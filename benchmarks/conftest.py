@@ -3,7 +3,9 @@
 The standard campaign (96 servers, eight scaled days) takes a couple of
 minutes to build and is shared — memoised — by every benchmark.  Each
 benchmark appends its paper-vs-measured table to a session report that is
-printed at the end and written to ``benchmarks/report.txt``.
+printed at the end and written to ``benchmarks/report.txt`` — unless the
+session ran a ``-k`` selection (``repro bench run -k …`` or ``--quick``),
+whose partial report would replace the full run's.
 
 Timing goes through the shared :func:`repro.bench.timing.measure`
 helper, so every benchmark in every file gets identical repeat/min
@@ -171,4 +173,5 @@ def pytest_sessionfinish(session, exitstatus):
     banner = "\n" + "=" * 72 + "\nPAPER vs MEASURED (this session)\n" + "=" * 72
     print(banner)
     print(body)
-    (pathlib.Path(__file__).parent / "report.txt").write_text(body + "\n")
+    if not session.config.option.keyword:
+        (pathlib.Path(__file__).parent / "report.txt").write_text(body + "\n")

@@ -18,26 +18,18 @@ a flow closes a *round* and applies its variant's window transition
 collapses to the minimum window and sits out ``min_rto`` — the
 serialisation mechanism behind incast goodput collapse (§4.4).
 
-**Compact active-flow state.**  A tick touches only the active flows,
-held as one entry each in ascending slot order: the slots, a path table
-padded to ``max_path`` hops with a sentinel link (index ``num_links``,
-whose delay and drop/mark fractions stay 0, so padding adds nothing to
-any reduction), and one float array of per-flow rows (window, RTO,
-round clock and the six byte accumulators).  Only
-:meth:`QueuedTransport.add_flow` and the completion of drained flows
-rebuild it; between rebuilds every tick is a fixed set of whole-array
-operations, with no slot lookups.  These arrays are the only copy of a
-flow's state, so nothing is ever written back: a slot is just the
-flow's id, reused last-freed-first, and the key of its metadata.
-Readers between ticks (``active_rates``, ``utilization_snapshot``,
-``earliest_active_start``, ``cc_report``) read the arrays the tick
-writes and change nothing.
-
-Every per-flow reduction has one fixed order, which the pinned output
-digests depend on: ``bincount`` adds the per-link arrivals flow by flow
-in slot order, drained flows finish in slot order, path queueing delays
-add in the pairwise order of NumPy's 8-wide row sum, and drop/mark
-survival factors multiply hop by hop.
+A tick touches only the active flows, which the shared active-flow
+table (:class:`~repro.simulation.transport.Transport`) holds: the float
+block's rows are the window, RTO, round clock and the six byte
+accumulators, and the sentinel link that pads each path row keeps a
+delay of 0 and drop/mark fractions of 0, so padding adds nothing to any
+reduction.  Between arrivals and completions every tick is a fixed set
+of whole-array operations, with no slot lookups.  Readers between ticks
+(``active_rates``, ``utilization_snapshot``, ``earliest_active_start``,
+``cc_report``) read the arrays the tick writes and change nothing.
+Besides the table's slot order, path queueing delays add in the
+pairwise order of NumPy's 8-wide row sum, and drop/mark survival
+factors multiply hop by hop.
 
 The engine cadence reuses the dynamic-time-source hook: the transport's
 ``next_completion_wakeup`` simply asks for ``now + tick`` while any flow
@@ -49,12 +41,11 @@ no allocation pass to re-run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ...cluster.topology import ClusterTopology
-from ..transport import LoadSink, Transfer, TransferMeta
+from ..transport import LoadSink, Transfer, Transport
 from .cwnd import (
     CC_VARIANTS,
     dctcp_cut,
@@ -72,16 +63,6 @@ __all__ = ["CCReport", "QueuedTransport"]
 _EPS_BYTES = 0.5
 #: Slack for "is this round due" / "is this flow stalled" comparisons.
 _EPS_TIME = 1e-12
-#: Rows of the per-flow state array, in the order ``_set_active`` binds
-#: them: window state, the round clock, the round's three accumulators,
-#: three lifetime accumulators, the RTO count and the start time.
-_ROWS = (
-    "remaining", "cwnd", "ssthresh", "alpha", "rto_until", "round_end",
-    "round_sent", "round_lost", "round_marked",
-    "retx_bytes", "rtt_weighted", "sent_total", "timeouts", "start_time",
-)
-#: The round's accumulators, reset together when a round closes.
-_ROUND = slice(_ROWS.index("round_sent"), _ROWS.index("round_marked") + 1)
 
 
 @dataclass(frozen=True)
@@ -127,11 +108,25 @@ class CCReport:
         return float(self.flow_timeouts.sum())
 
 
-class QueuedTransport:
+class QueuedTransport(Transport):
     """Discrete-stepped congestion-controlled transport with FIFO queues."""
 
-    #: Family tag used by the simulator dispatch and the validate layer.
     family = "queued"
+    #: Window state, the round clock, the round's three accumulators,
+    #: three lifetime accumulators, the RTO count and the start time.
+    _ROWS = (
+        "remaining", "cwnd", "ssthresh", "alpha", "rto_until", "round_end",
+        "round_sent", "round_lost", "round_marked",
+        "retx_bytes", "rtt_weighted", "sent_total", "timeouts", "start_time",
+    )
+    #: The round's accumulators, reset together when a round closes.
+    _ROUND = slice(_ROWS.index("round_sent"), _ROWS.index("round_marked") + 1)
+    # The simulator and perfbench read these of every transport; with no
+    # allocation pass, a queued transport never changes them.
+    rates_dirty = False
+    rate_recomputes = 0
+    frontier_rebuilds = 0
+    _inc = None
 
     def __init__(
         self,
@@ -147,51 +142,23 @@ class QueuedTransport:
             )
         self.impl = impl
         self.params = params or CongestionControlConfig()
-        self.topology = topology
-        self.sinks: list[LoadSink] = list(sinks) if sinks else []
+        # ``_set_active`` reads these, so they precede the table.
+        num_links = topology.num_links
+        #: Queueing delay per link after the last tick, plus the sentinel
+        #: link ``num_links`` that pads every path row: its delay stays 0.
+        self._delay = np.zeros(num_links + 1)
+        #: Per-link survival factors of the last tick: ``1 - drop
+        #: fraction`` at ``[0, num_links]``, then ``1 - mark fraction`` at
+        #: ``[num_links + 1, 2 * num_links + 1]``; both sentinels stay 1.
+        self._keep = np.ones(2 * (num_links + 1))
+        self._keep_offsets = np.array([0, num_links + 1])[:, None, None]
+        super().__init__(topology, sinks)
         #: Sinks that also understand queue-depth series (duck-typed so a
         #: plain byte-load sink still works unchanged).
         self._depth_sinks = [
             sink for sink in self.sinks if hasattr(sink, "add_queue_depth_bulk")
         ]
-        self.capacities = topology.capacities.copy()
-        self.num_links = topology.num_links
-        self.max_path = 8
-        self.queues = LinkQueues(self.num_links, self.capacities, self.params)
-        #: Queueing delay per link after the last tick, plus the sentinel
-        #: link ``num_links`` that pads every path row: its delay stays 0.
-        self._delay = np.zeros(self.num_links + 1)
-        #: Per-link survival factors of the last tick: ``1 - drop
-        #: fraction`` at ``[0, num_links]``, then ``1 - mark fraction`` at
-        #: ``[num_links + 1, 2 * num_links + 1]``; both sentinels stay 1.
-        self._keep = np.ones(2 * (self.num_links + 1))
-        self._keep_offsets = np.array([0, self.num_links + 1])[:, None, None]
-
-        # Slots are stable flow ids: a finished flow's slot is reused
-        # first (last freed, first reused), else the next unused one.
-        # Ascending slot order is the order of every per-flow reduction.
-        self._free_slots: list[int] = []
-        #: Per slot: (src, dst, size, meta, on_complete) of an active flow.
-        self._flow_info: list[
-            tuple[int, int, float, TransferMeta,
-                  Callable[[Transfer], None] | None] | None
-        ] = []
-        # The compact active-flow state, one column per active flow in
-        # ascending slot order: slots, sentinel-padded path table and
-        # the per-flow float rows (see ``_set_active``).
-        self._set_active(
-            np.empty(0, dtype=np.int64),
-            np.empty((0, self.max_path), dtype=np.int64),
-            np.empty((len(_ROWS), 0)),
-        )
-
-        self.now = 0.0
-        self._completed_buffer: list[
-            tuple[Transfer, Callable[[Transfer], None] | None]
-        ] = []
-        self._next_transfer_id = 0
-        self.transfers_started = 0
-        self.peak_active = 0
+        self.queues = LinkQueues(num_links, self.capacities, self.params)
         self.ticks = 0
         self.peak_queue_bytes = 0.0
         # Per-completed-flow records, in completion order.
@@ -201,23 +168,11 @@ class QueuedTransport:
         self._done_timeouts: list[int] = []
         self._done_mean_rtt: list[float] = []
 
-        # Fluid-transport surface compatibility: the simulator reads
-        # these unconditionally when publishing telemetry, and the
-        # recompute machinery must never trigger for a queued transport.
-        self.rates_dirty = False
-        self.rate_recomputes = 0
-        self.frontier_rebuilds = 0
-        self._inc = None
-
     # ---------------------------------------------------------- active set
 
-    def _set_active(
-        self, slots: np.ndarray, links: np.ndarray, state: np.ndarray
-    ) -> None:
-        """Install a new active set and derive what the tick reads."""
-        self._slots = slots
-        self._links = links
-        self._state = state
+    def _set_active(self, links: np.ndarray, state: np.ndarray) -> None:
+        """Install the table, bind its rows and derive what the tick reads."""
+        super()._set_active(links, state)
         #: Hop-major indices of each hop's drop and mark survival factor
         #: in ``_keep``, so one gather serves both products; the drop half
         #: is also the hop-major path table the RTT sums read.
@@ -231,6 +186,14 @@ class QueuedTransport:
         ) = state
         self._rtt = self._path_rtts()
 
+    def _initial_column(self, size: float) -> tuple[float, ...]:
+        params, now = self.params, self.now
+        return (
+            size, params.initial_cwnd_packets, params.max_cwnd_packets, 0.0,
+            -np.inf, now + params.base_rtt, 0.0, 0.0, 0.0,
+            0.0, 0.0, 0.0, 0.0, now,
+        )
+
     def _path_rtts(self) -> np.ndarray:
         """Base RTT plus the live queueing delay along each active path.
 
@@ -242,110 +205,23 @@ class QueuedTransport:
         quads = pairs[0::2] + pairs[1::2]
         return self.params.base_rtt + (quads[0] + quads[1])
 
-    def _offered(self, rates: np.ndarray) -> np.ndarray:
-        """Bytes (or bytes/s) per link from per-flow ``rates``.
-
-        ``bincount`` adds flow by flow in slot order, each flow's hops in
-        path order; the padding lands in the sentinel bin, dropped here.
-        """
-        return np.bincount(
-            self._links.ravel(),
-            weights=np.repeat(rates, self.max_path),
-            minlength=self.num_links + 1,
-        )[: self.num_links]
-
-    @property
-    def active_count(self) -> int:
-        """Number of in-flight flows."""
-        return int(self._slots.size)
-
     # ---------------------------------------------------------------- flows
 
-    def add_flow(
-        self,
-        src: int,
-        dst: int,
-        size: float,
-        path_links: tuple[int, ...],
-        meta: TransferMeta,
-        on_complete: Callable[[Transfer], None] | None = None,
-    ) -> int:
-        """Start a flow at the current time; returns its slot id."""
-        if size <= 0:
-            raise ValueError("flow size must be positive")
-        if not path_links:
-            raise ValueError("flow path must cross at least one link")
-        if len(path_links) > self.max_path:
-            raise ValueError("path exceeds transport's max path length")
-        params = self.params
-        if self._free_slots:
-            slot = self._free_slots.pop()
-        else:
-            slot = len(self._flow_info)
-            self._flow_info.append(None)
-        self._flow_info[slot] = (int(src), int(dst), float(size), meta, on_complete)
-        links = np.full(self.max_path, self.num_links, dtype=np.int64)
-        links[: len(path_links)] = path_links
-        column = _initial_column(params, float(size), self.now)
-        at = int(np.searchsorted(self._slots, slot))
-        self._set_active(
-            np.concatenate((self._slots[:at], [slot], self._slots[at:])),
-            np.concatenate((self._links[:at], links[None], self._links[at:])),
-            np.concatenate(
-                (self._state[:, :at], column[:, None], self._state[:, at:]),
-                axis=1,
-            ),
-        )
-        self.transfers_started += 1
-        if self._slots.size > self.peak_active:
-            self.peak_active = int(self._slots.size)
-        return slot
-
-    def _finish(self, drained: np.ndarray) -> None:
-        """Complete the active flows at ``drained`` (ascending positions)."""
+    def _finish(self, drained: np.ndarray) -> list[Transfer]:
+        # The per-flow records, read before the base class drops the rows.
+        sent = self._sent_total[drained].tolist()
+        weighted = self._rtt_weighted[drained].tolist()
         base_rtt = self.params.base_rtt
-        for position in drained.tolist():
-            slot = int(self._slots[position])
-            info = self._flow_info[slot]
-            assert info is not None
-            src, dst, size, meta, on_complete = info
-            transfer = Transfer(
-                transfer_id=self._next_transfer_id,
-                src=src,
-                dst=dst,
-                size=size,
-                start_time=float(self._start_times[position]),
-                end_time=self.now,
-                meta=meta,
-            )
-            self._completed_buffer.append((transfer, on_complete))
-            self._next_transfer_id += 1
-            self._fct.append(transfer.duration)
-            self._done_sizes.append(size)
-            self._done_retx.append(float(self._retx_bytes[position]))
-            self._done_timeouts.append(int(self._timeouts[position]))
-            sent = float(self._sent_total[position])
-            self._done_mean_rtt.append(
-                float(self._rtt_weighted[position]) / sent
-                if sent > 0
-                else base_rtt
-            )
-            self._flow_info[slot] = None
-            self._free_slots.append(slot)
-        kept = np.ones(self._slots.size, dtype=bool)
-        kept[drained] = False
-        self._set_active(
-            self._slots[kept], self._links[kept], self._state[:, kept]
-        )
-
-    def pop_completed(
-        self,
-    ) -> list[tuple[Transfer, Callable[[Transfer], None] | None]]:
-        """Return and clear (transfer, callback) pairs completed since
-        the last call; dispatch order is the simulator's job."""
-        completed = self._completed_buffer
-        self._completed_buffer = []
-        return completed
+        self._done_retx += self._retx_bytes[drained].tolist()
+        self._done_timeouts += [int(count) for count in self._timeouts[drained]]
+        self._done_mean_rtt += [
+            total / bytes_ if bytes_ > 0 else base_rtt
+            for total, bytes_ in zip(weighted, sent)
+        ]
+        transfers = super()._finish(drained)
+        self._fct += [transfer.duration for transfer in transfers]
+        self._done_sizes += [transfer.size for transfer in transfers]
+        return transfers
 
     # ------------------------------------------------------------- stepping
 
@@ -367,11 +243,11 @@ class QueuedTransport:
     def _step(self, t_end: float) -> None:
         """Advance one tick (or partial tick) to ``t_end``."""
         dt = t_end - self.now
-        flowing = self._slots.size > 0 and dt > 0
+        flowing = bool(self._incidence.slots) and dt > 0
         if flowing:
             rtt = self._rtt
             sent = np.minimum(self._pacing_rates() * dt, self._remaining)
-            arrivals = self._offered(sent)
+            arrivals = self._link_sums(sent)
         else:
             arrivals = np.zeros(self.num_links)
         queues = self.queues
@@ -382,13 +258,8 @@ class QueuedTransport:
             self.peak_queue_bytes = backlog_peak
         queues.queueing_delay(out=self._delay[:-1])
         if dt > 0:
-            loaded = serviced.nonzero()[0]
-            if loaded.size and self.sinks:
-                for sink in self.sinks:
-                    sink.add_interval_bulk(
-                        loaded, serviced[loaded] / dt, self.now, t_end,
-                        unique_keys=True,
-                    )
+            if self.sinks:
+                self._emit_loads(serviced / dt, t_end)
             if self._depth_sinks:
                 occupied = backlog.nonzero()[0]
                 if occupied.size:
@@ -415,7 +286,7 @@ class QueuedTransport:
             self._sent_total += sent
         self.now = t_end
         self.ticks += 1
-        if self._slots.size:
+        if self._incidence.slots:
             # Rounds restart on the RTTs behind this tick's queues, which
             # are also the next tick's.
             self._rtt = self._path_rtts()
@@ -491,7 +362,7 @@ class QueuedTransport:
         # RTO-stalled ones — their next round begins when the stall ends).
         start = np.maximum(now, self._rto_until[due])
         self._round_end[due] = start + self._rtt[due]
-        self._state[_ROUND, due] = 0.0
+        self._state[self._ROUND, due] = 0.0
 
     def advance_to(self, time: float) -> None:
         """Integrate queue and window dynamics up to ``time``."""
@@ -500,7 +371,7 @@ class QueuedTransport:
         tick = self.params.tick
         while time - self.now > _EPS_TIME:
             if (
-                not self._slots.size
+                not self._incidence.slots
                 and self.queues.backlog_bytes.sum() <= _EPS_BYTES
             ):
                 # Idle fabric: no window or queue dynamics to integrate,
@@ -523,27 +394,17 @@ class QueuedTransport:
         see those serviced bytes).  Monotonically increasing because
         ``advance_to`` moves ``now`` to each granted wakeup.
         """
-        if self._slots.size or self.queues.backlog_bytes.sum() > _EPS_BYTES:
+        if self._incidence.slots or self.queues.backlog_bytes.sum() > _EPS_BYTES:
             return self.now + self.params.tick
         return None
 
     # ------------------------------------------------------------- inspection
-
-    def earliest_active_start(self) -> float | None:
-        """Start time of the oldest in-flight flow, or ``None`` if idle."""
-        if not self._slots.size:
-            return None
-        return float(self._start_times.min())
 
     def active_rates(self) -> np.ndarray:
         """Pacing rates (bytes/s) the next tick applies to the in-flight
         flows, in slot order: ``cwnd * mtu / base_rtt``, or 0 while a
         flow is RTO-stalled."""
         return self._pacing_rates()
-
-    def utilization_snapshot(self) -> np.ndarray:
-        """Per-link utilisation the next tick's pacing rates offer."""
-        return self._offered(self._pacing_rates()) / self.capacities
 
     # --------------------------------------------------------------- report
 
@@ -568,16 +429,3 @@ class QueuedTransport:
             peak_queue_bytes=self.peak_queue_bytes,
         )
 
-
-def _initial_column(
-    params: CongestionControlConfig, size: float, now: float
-) -> np.ndarray:
-    """The per-flow state column of a flow starting at ``now``."""
-    column = np.zeros(len(_ROWS))
-    column[_ROWS.index("remaining")] = size
-    column[_ROWS.index("cwnd")] = params.initial_cwnd_packets
-    column[_ROWS.index("ssthresh")] = params.max_cwnd_packets
-    column[_ROWS.index("rto_until")] = -np.inf
-    column[_ROWS.index("round_end")] = now + params.base_rtt
-    column[_ROWS.index("start_time")] = now
-    return column

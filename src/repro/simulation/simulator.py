@@ -1,7 +1,8 @@
 """The cluster simulator: workload + transport + instrumentation.
 
-:class:`Simulator` owns the event engine, the fluid transport, the link
-load tracker and the instrumentation collectors, and exposes the small
+:class:`Simulator` owns the event engine, the transport (either
+family's :class:`~repro.simulation.transport.Transport`), the link load
+tracker and the instrumentation collectors, and exposes the small
 :class:`~repro.workload.runtime.SimulationServices` surface the job
 executor drives traffic through.  ``run()`` returns a
 :class:`SimulationResult` containing exactly the artefacts the paper's
@@ -32,7 +33,7 @@ from ..workload.runtime import JobExecutor
 from .cc.cwnd import CC_VARIANTS
 from .engine import EventEngine
 from .linkloads import LinkLoadTracker
-from .transport import FluidTransport, Transfer, TransferMeta
+from .transport import FluidTransport, Transfer, TransferMeta, Transport
 
 if TYPE_CHECKING:
     from .cc.transport import CCReport
@@ -84,7 +85,7 @@ class Simulator:
         if config.transport_impl in CC_VARIANTS:
             from .cc.transport import QueuedTransport
 
-            self.transport: FluidTransport | QueuedTransport = QueuedTransport(
+            self.transport: Transport = QueuedTransport(
                 self.topology,
                 sinks=[self.link_loads],
                 impl=config.transport_impl,
@@ -366,7 +367,7 @@ class Simulator:
                 ).inc(count)
             tele.counter("transport.incremental_solves").inc(inc.incremental_solves)
             tele.counter("transport.incremental_expansions").inc(inc.expansions)
-        if getattr(self.transport, "family", "fluid") == "queued":
+        if self.transport.family == "queued":
             queues = self.transport.queues
             tele.counter("cc.ticks").inc(self.transport.ticks)
             tele.counter("cc.marked_packets").inc(
@@ -449,7 +450,7 @@ class Simulator:
             "evacuations": float(len(self.applog.evacuations)),
         }
         cc_report = None
-        if getattr(self.transport, "family", "fluid") == "queued":
+        if self.transport.family == "queued":
             cc_report = self.transport.cc_report()
             stats["cc_ticks"] = float(cc_report.ticks)
             stats["cc_timeouts"] = cc_report.total_timeouts

@@ -1,11 +1,17 @@
-"""Fluid (rate-based) transport with max-min fair bandwidth sharing.
+"""The active-flow table both transport families share, and the fluid
+(rate-based) transport with max-min fair bandwidth sharing.
 
-Flows are modelled as fluid: between simulation events every flow moves
-bytes at a constant rate, and rates are the max-min fair allocation over
-the directed links of each flow's path (progressive filling).  This is
-the standard abstraction for TCP-dominated datacenter traffic at second
-granularity — the paper's cluster runs "near ubiquitous ... TCP" (§8),
-whose long-run behaviour approximates fair sharing at the bottleneck.
+:class:`Transport` holds the in-flight flows and turns drained ones into
+:class:`Transfer` records; :class:`FluidTransport` here and
+:class:`~repro.simulation.cc.transport.QueuedTransport` subclass it and
+keep only their physics.
+
+Fluid flows move bytes at a constant rate between simulation events,
+and rates are the max-min fair allocation over the directed links of
+each flow's path (progressive filling).  This is the standard
+abstraction for TCP-dominated datacenter traffic at second granularity
+— the paper's cluster runs "near ubiquitous ... TCP" (§8), whose
+long-run behaviour approximates fair sharing at the bottleneck.
 
 A cheaper ``bottleneck`` mode allocates each flow ``capacity / count`` on
 its most contended link without redistributing leftovers; it serves as an
@@ -18,29 +24,12 @@ or the batched CSR elimination at large active sets, both bit-identical
 to the round-based reference loop) and ``incremental`` (the allocator
 that re-solves only the affected bottleneck subgraph on each
 arrival/departure — tolerance-based, see
-:data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`).
-
-**One maintained active-flow table.**  The transport holds only its
-active flows, one entry each in ascending slot order: a
-:class:`~repro.simulation.waterfill.IncidenceTable` (the slots, each
-slot's links, each link's slots in ascending order and per-link
-counts), a path table padded with the sentinel link ``num_links``, and
-one float row per flow (remaining bytes, rate, start time).  Only
-:meth:`FluidTransport.add_flow` and the completion of drained flows
-change it, each by one splice; nothing is rebuilt per allocation or per
-integration step.  The exact heap regime reads the table's per-link
-counts and slot lists directly; the other allocators take the
-``-1``-padded ``(paths, valid)`` pair derived from the path table.  A
-slot is a flow's stable id, reused last-freed-first, else the next
-unused one.
-
-Every per-flow reduction has one fixed order, which the pinned output
-digests depend on: ascending slot order.  ``advance_to``'s ``bincount``
-adds the per-link rates flow by flow in slot order, each flow's hops in
-path order (the sentinel padding lands in a bin that is dropped), the
-heap regime sums each round's per-link consumption in slot order, and
-drained flows finish in slot order.  :meth:`FluidTransport.active_flows`
-is the read-only view of the table for checkers, tests and benchmarks.
+:data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`).  The exact heap
+regime reads the table's per-link counts and slot lists directly and
+sums each round's per-link consumption in slot order; the other
+allocators take the ``-1``-padded ``(paths, valid)`` pair derived from
+the path table.  :meth:`FluidTransport.active_flows` is the read-only
+view of the table for checkers, tests and benchmarks.
 
 Completion scheduling is structure-of-arrays: instead of per-transfer
 event objects, the transport keeps a **completion frontier** — the next
@@ -67,7 +56,10 @@ from .waterfill import (
     maxmin_rates_vectorized,
 )
 
-__all__ = ["ActiveFlows", "TransferMeta", "Transfer", "FluidTransport", "LoadSink"]
+__all__ = [
+    "ActiveFlows", "TransferMeta", "Transfer", "Transport", "FluidTransport",
+    "LoadSink",
+]
 
 #: Accepted ``impl`` constructor values: the fluid half of
 #: ``SimulationConfig.transport_impl``.
@@ -163,129 +155,104 @@ class ActiveFlows:
     start_times: np.ndarray
 
 
-class FluidTransport:
-    """Shared-bandwidth fluid flow simulator over a cluster topology."""
+#: A completed transfer and the callback its flow was started with.
+Completion = tuple[Transfer, Callable[[Transfer], None] | None]
+
+
+class Transport:
+    """The active-flow table both transport families keep.
+
+    A transport holds only its active flows, one entry each in ascending
+    slot order: a :class:`~repro.simulation.waterfill.IncidenceTable`
+    (the slots, each slot's links, each link's slots in ascending order
+    and per-link counts), a path table padded to ``max_path`` hops with
+    the sentinel link ``num_links``, and a float block with one row per
+    name in ``_ROWS`` and one column per flow.  Only :meth:`add_flow`
+    and the completion of drained flows (:meth:`_finish`) change it,
+    each by one splice, so nothing is rebuilt per step.  The table is
+    the only copy of a flow's state; a slot is a flow's stable id,
+    reused last-freed-first, else the next unused one, and the key of
+    its ``(src, dst, size, meta, on_complete)`` record.
+
+    Every per-flow reduction has one fixed order, which the pinned
+    output digests depend on: ascending slot order.  The ``bincount``
+    of :meth:`_link_sums` adds flow by flow in slot order, each flow's
+    hops in path order (the padding lands in the sentinel bin, which is
+    dropped), and drained flows finish in slot order, so transfer ids
+    and the free-slot stack see one order too.
+
+    A subclass keeps only its physics.  It names its float rows in
+    ``_ROWS``, binds them (``_start_times`` among them) in
+    :meth:`_set_active` and gives a new flow's column in
+    :meth:`_initial_column`; it extends :meth:`add_flow` and
+    :meth:`_finish` by its own step at arrival and completion.
+    """
 
     #: Family tag used by the simulator dispatch and the validate layer.
-    family = "fluid"
+    family: str
+    #: Names of the float block's rows, in the order ``_set_active``
+    #: binds them.
+    _ROWS: tuple[str, ...]
 
     def __init__(
-        self,
-        topology: ClusterTopology,
-        sinks: list[LoadSink] | None = None,
-        fairness: str = "maxmin",
-        impl: str = "vectorized",
+        self, topology: ClusterTopology, sinks: list[LoadSink] | None = None
     ) -> None:
-        if fairness not in ("maxmin", "bottleneck"):
-            raise ValueError(f"unknown fairness mode {fairness!r}")
-        if impl not in TRANSPORT_IMPLS:
-            raise ValueError(f"unknown transport impl {impl!r}")
         self.topology = topology
-        self.fairness = fairness
-        self.impl = impl
         self.sinks: list[LoadSink] = list(sinks) if sinks else []
         self.capacities = topology.capacities.copy()
         self.num_links = topology.num_links
         self.max_path = 8
-
-        # Slots are stable flow ids: a finished flow's slot is reused
-        # first (last freed, first reused), else the next unused one.
-        # Ascending slot order is the order of every per-flow reduction.
         self._free_slots: list[int] = []
         #: Per slot: (src, dst, size, meta, on_complete) of an active flow.
         self._flow_info: list[
             tuple[int, int, float, TransferMeta,
                   Callable[[Transfer], None] | None] | None
         ] = []
-        #: The active slots in ascending order, each slot's links and
-        #: each link's slots, updated by ``add_flow`` and completion; the
-        #: exact heap regime reads it instead of rebuilding an incidence.
         self._incidence = IncidenceTable(self.num_links)
-        # The rest of the compact active-flow state, one row per active
-        # flow in the table's slot order (see ``_set_active``).
         self._set_active(
-            np.empty((0, self.max_path), dtype=np.int64), np.empty((0, 3))
+            np.empty((0, self.max_path), dtype=np.int64),
+            np.empty((len(self._ROWS), 0)),
         )
-
         self.now = 0.0
-        self.rates_dirty = False
-        self._completed_buffer: list[tuple[Transfer, Callable[[Transfer], None] | None]] = []
+        self._completed_buffer: list[Completion] = []
         self._next_transfer_id = 0
         self.transfers_started = 0
-        #: Telemetry: fair-share allocation passes and concurrency peak.
-        self.rate_recomputes = 0
         self.peak_active = 0
-
-        #: Incremental allocator state (``impl="incremental"`` only).
-        self._inc: IncrementalMaxMin | None = (
-            IncrementalMaxMin(self.capacities, self.num_links)
-            if impl == "incremental"
-            else None
-        )
-
-        #: Rate epoch: bumped by every allocation pass.  The completion
-        #: frontier below is valid for exactly one epoch; invalidating it
-        #: is this counter bump, replacing per-transfer event cancel.
-        self.rates_epoch = 0
-        self._frontier_epoch = -1
-        self._frontier_times: np.ndarray = np.empty(0)
-        self._frontier_slots: list[int] = []
-        self._frontier_pos = 0
-        self._frontier_truncated = False
-        #: Slot/time of the earliest completion at the epoch rebuild; the
-        #: engine's wakeup source fires once per epoch on this head (the
-        #: legacy scheduler's single completion event, minus the heap).
-        self._frontier_head_slot = -1
-        self._frontier_head_time = 0.0
-        self.frontier_rebuilds = 0
 
     # ---------------------------------------------------------- active set
 
     def _set_active(self, links: np.ndarray, state: np.ndarray) -> None:
-        """Install the path table and the per-flow float rows."""
-        #: Path rows padded with the sentinel link ``num_links``, whose
-        #: bincount bin is dropped, so padding adds to no real link.
+        """Install the path table and the float block; subclasses bind
+        the block's named rows."""
         self._links = links
-        #: Per flow: remaining bytes, allocated rate, start time.
         self._state = state
-        self._remaining = state[:, 0]
-        self._rates = state[:, 1]
-        self._start_times = state[:, 2]
 
-    def _padded_paths(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(paths, valid)`` of the active flows, padded with ``-1``."""
-        valid = self._links != self.num_links
-        return np.where(valid, self._links, -1), valid
+    def _initial_column(self, size: float) -> tuple[float, ...]:
+        """The float block's column of a ``size``-byte flow starting now."""
+        raise NotImplementedError
 
-    def _link_rates(self) -> np.ndarray:
-        """Bytes/s per link under the current rates.
-
-        ``bincount`` adds flow by flow in slot order, each flow's hops in
-        path order; the padding lands in the sentinel bin, dropped here.
-        """
+    def _link_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-link sums of the per-flow ``values``, in slot order."""
         return np.bincount(
             self._links.ravel(),
-            weights=np.repeat(self._rates, self.max_path),
+            weights=np.repeat(values, self.max_path),
             minlength=self.num_links + 1,
         )[: self.num_links]
+
+    def _emit_loads(self, link_rates: np.ndarray, end: float) -> None:
+        """Hand every loaded link's rate over ``[now, end)`` to the sinks."""
+        loaded = np.flatnonzero(link_rates)
+        if loaded.size:
+            rates = link_rates[loaded]
+            for sink in self.sinks:
+                sink.add_interval_bulk(
+                    loaded, rates, self.now, end, unique_keys=True
+                )
 
     @property
     def active_count(self) -> int:
         """Number of in-flight flows."""
         return len(self._incidence.slots)
-
-    def active_flows(self) -> ActiveFlows:
-        """Snapshot of the in-flight flows (copies; reading it changes
-        nothing in the transport)."""
-        paths, valid = self._padded_paths()
-        return ActiveFlows(
-            slots=np.array(self._incidence.slots, dtype=np.int64),
-            paths=paths,
-            valid=valid,
-            rates=self._rates.copy(),
-            remaining=self._remaining.copy(),
-            start_times=self._start_times.copy(),
-        )
 
     # ---------------------------------------------------------------- flows
 
@@ -319,15 +286,159 @@ class FluidTransport:
         links = [*path_links, *[self.num_links] * (self.max_path - len(path_links))]
         self._set_active(
             _insert_row(self._links, at, links),
-            _insert_row(self._state, at, (size, 0.0, self.now)),
+            _insert_column(self._state, at, self._initial_column(float(size))),
         )
-        if self._inc is not None:
-            self._inc.on_add(slot, path_links)
-        self.rates_dirty = True
         self.transfers_started += 1
         active = len(self._incidence.slots)
         if active > self.peak_active:
             self.peak_active = active
+        return slot
+
+    def _finish(self, drained: np.ndarray) -> list[Transfer]:
+        """Complete the active flows at ``drained`` (ascending positions);
+        returns their transfers, in slot order."""
+        positions = drained.tolist()
+        slots = self._incidence.slots
+        finished = [slots[position] for position in positions]
+        starts = self._start_times[drained].tolist()
+        transfers = []
+        for slot, start in zip(finished, starts):
+            src, dst, size, meta, on_complete = self._flow_info[slot]
+            transfer = Transfer(
+                transfer_id=self._next_transfer_id,
+                src=src,
+                dst=dst,
+                size=size,
+                start_time=start,
+                end_time=self.now,
+                meta=meta,
+            )
+            transfers.append(transfer)
+            self._completed_buffer.append((transfer, on_complete))
+            self._next_transfer_id += 1
+            self._incidence.remove(slot)
+            self._flow_info[slot] = None
+            self._free_slots.append(slot)
+        self._set_active(
+            _drop_rows(self._links, positions),
+            _drop_columns(self._state, positions),
+        )
+        return transfers
+
+    def pop_completed(self) -> list[Completion]:
+        """Return and clear (transfer, callback) pairs completed since the
+        last call.  The transport never invokes callbacks itself: the
+        simulator decides dispatch order."""
+        completed = self._completed_buffer
+        self._completed_buffer = []
+        return completed
+
+    def earliest_active_start(self) -> float | None:
+        """Start time of the oldest in-flight flow, or ``None`` if idle.
+
+        The streaming recorder uses this as its emission watermark: the
+        collector timestamps a transfer's events across its lifetime, so
+        no future completion can emit an event before the oldest active
+        flow's start time (minus clock skew).
+        """
+        if not self._incidence.slots:
+            return None
+        return float(self._start_times.min())
+
+    def utilization_snapshot(self) -> np.ndarray:
+        """Per-link utilisation under the rates :meth:`active_rates` reports."""
+        return self._link_sums(self.active_rates()) / self.capacities
+
+
+class FluidTransport(Transport):
+    """Shared-bandwidth fluid flow simulator over a cluster topology."""
+
+    family = "fluid"
+    _ROWS = ("remaining", "rate", "start_time")
+
+    def __init__(
+        self,
+        topology: ClusterTopology,
+        sinks: list[LoadSink] | None = None,
+        fairness: str = "maxmin",
+        impl: str = "vectorized",
+    ) -> None:
+        if fairness not in ("maxmin", "bottleneck"):
+            raise ValueError(f"unknown fairness mode {fairness!r}")
+        if impl not in TRANSPORT_IMPLS:
+            raise ValueError(f"unknown transport impl {impl!r}")
+        super().__init__(topology, sinks)
+        self.fairness = fairness
+        self.impl = impl
+        self.rates_dirty = False
+        #: Telemetry: fair-share allocation passes.
+        self.rate_recomputes = 0
+
+        #: Incremental allocator state (``impl="incremental"`` only).
+        self._inc: IncrementalMaxMin | None = (
+            IncrementalMaxMin(self.capacities, self.num_links)
+            if impl == "incremental"
+            else None
+        )
+
+        #: Rate epoch: bumped by every allocation pass.  The completion
+        #: frontier below is valid for exactly one epoch; invalidating it
+        #: is this counter bump, replacing per-transfer event cancel.
+        self.rates_epoch = 0
+        self._frontier_epoch = -1
+        self._frontier_times: np.ndarray = np.empty(0)
+        self._frontier_slots: list[int] = []
+        self._frontier_pos = 0
+        self._frontier_truncated = False
+        #: Slot/time of the earliest completion at the epoch rebuild; the
+        #: engine's wakeup source fires once per epoch on this head (the
+        #: legacy scheduler's single completion event, minus the heap).
+        self._frontier_head_slot = -1
+        self._frontier_head_time = 0.0
+        self.frontier_rebuilds = 0
+
+    # ---------------------------------------------------------- active set
+
+    def _set_active(self, links: np.ndarray, state: np.ndarray) -> None:
+        super()._set_active(links, state)
+        self._remaining, self._rates, self._start_times = state
+
+    def _initial_column(self, size: float) -> tuple[float, ...]:
+        return (size, 0.0, self.now)
+
+    def _padded_paths(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(paths, valid)`` of the active flows, padded with ``-1``."""
+        valid = self._links != self.num_links
+        return np.where(valid, self._links, -1), valid
+
+    def active_flows(self) -> ActiveFlows:
+        """Snapshot of the in-flight flows (copies; reading it changes
+        nothing in the transport)."""
+        paths, valid = self._padded_paths()
+        return ActiveFlows(
+            slots=np.array(self._incidence.slots, dtype=np.int64),
+            paths=paths,
+            valid=valid,
+            rates=self._rates.copy(),
+            remaining=self._remaining.copy(),
+            start_times=self._start_times.copy(),
+        )
+
+    # ---------------------------------------------------------------- flows
+
+    def add_flow(
+        self,
+        src: int,
+        dst: int,
+        size: float,
+        path_links: tuple[int, ...],
+        meta: TransferMeta,
+        on_complete: Callable[[Transfer], None] | None = None,
+    ) -> int:
+        slot = super().add_flow(src, dst, size, path_links, meta, on_complete)
+        if self._inc is not None:
+            self._inc.on_add(slot, path_links)
+        self.rates_dirty = True
         return slot
 
     def advance_to(self, time: float) -> None:
@@ -338,14 +449,7 @@ class FluidTransport:
         active = len(self._incidence.slots)
         if dt > 0 and active:
             if self.sinks:
-                link_rates = self._link_rates()
-                loaded = np.flatnonzero(link_rates)
-                if loaded.size:
-                    for sink in self.sinks:
-                        sink.add_interval_bulk(
-                            loaded, link_rates[loaded], self.now, time,
-                            unique_keys=True,
-                        )
+                self._emit_loads(self._link_sums(self._rates), time)
             remaining = self._remaining
             np.maximum(remaining - self._rates * dt, 0.0, out=remaining)
         self.now = max(self.now, time)
@@ -354,50 +458,15 @@ class FluidTransport:
             if drained.size:
                 self._finish(drained)
 
-    def _finish(self, drained: np.ndarray) -> None:
-        """Complete the active flows at ``drained`` (ascending positions).
-
-        Flows finish in slot order, so transfer ids, the incremental
-        allocator's releases and the free-slot stack see one fixed order.
-        """
-        positions = drained.tolist()
-        slots = self._incidence.slots
-        finished = [slots[position] for position in positions]
-        starts = self._start_times[drained].tolist()
-        for slot, start in zip(finished, starts):
-            info = self._flow_info[slot]
-            assert info is not None
-            src, dst, size, meta, on_complete = info
-            transfer = Transfer(
-                transfer_id=self._next_transfer_id,
-                src=src,
-                dst=dst,
-                size=size,
-                start_time=start,
-                end_time=self.now,
-                meta=meta,
-            )
-            self._completed_buffer.append((transfer, on_complete))
-            self._next_transfer_id += 1
-            if self._inc is not None:
-                self._inc.on_remove(slot)
-            self._incidence.remove(slot)
-            self._flow_info[slot] = None
-            self._free_slots.append(slot)
-        self._set_active(
-            _drop_rows(self._links, positions), _drop_rows(self._state, positions)
-        )
+    def _finish(self, drained: np.ndarray) -> list[Transfer]:
+        # The incremental allocator releases the flows in slot order too.
+        if self._inc is not None:
+            slots = self._incidence.slots
+            for position in drained.tolist():
+                self._inc.on_remove(slots[position])
+        transfers = super()._finish(drained)
         self.rates_dirty = True
-
-    def pop_completed(
-        self,
-    ) -> list[tuple[Transfer, Callable[[Transfer], None] | None]]:
-        """Return and clear (transfer, callback) pairs completed since the
-        last call.  The transport never invokes callbacks itself: the
-        simulator decides dispatch order."""
-        completed = self._completed_buffer
-        self._completed_buffer = []
-        return completed
+        return transfers
 
     # ---------------------------------------------------------------- rates
 
@@ -520,25 +589,9 @@ class FluidTransport:
 
     # ------------------------------------------------------------- inspection
 
-    def earliest_active_start(self) -> float | None:
-        """Start time of the oldest in-flight flow, or ``None`` if idle.
-
-        The streaming recorder uses this as its emission watermark: the
-        collector timestamps a transfer's events across its lifetime, so
-        no future completion can emit an event before the oldest active
-        flow's start time (minus clock skew).
-        """
-        if not self._incidence.slots:
-            return None
-        return float(self._start_times.min())
-
     def active_rates(self) -> np.ndarray:
         """Current allocated rates (bytes/s) of the in-flight flows."""
         return self._rates.copy()
-
-    def utilization_snapshot(self) -> np.ndarray:
-        """Instantaneous per-link utilisation under current rates."""
-        return self._link_rates() / self.capacities
 
 
 def _insert_row(array: np.ndarray, at: int, row) -> np.ndarray:
@@ -550,9 +603,27 @@ def _insert_row(array: np.ndarray, at: int, row) -> np.ndarray:
     return out
 
 
+def _insert_column(array: np.ndarray, at: int, column) -> np.ndarray:
+    """``array`` with ``column`` inserted before column ``at``."""
+    out = np.empty((array.shape[0], array.shape[1] + 1), dtype=array.dtype)
+    out[:, :at] = array[:, :at]
+    out[:, at] = column
+    out[:, at + 1 :] = array[:, at:]
+    return out
+
+
 def _drop_rows(array: np.ndarray, positions: list[int]) -> np.ndarray:
     """``array`` without the rows at the ascending ``positions``."""
     bounds = [-1, *positions, array.shape[0]]
     return np.concatenate(
         [array[start + 1 : end] for start, end in zip(bounds, bounds[1:])]
+    )
+
+
+def _drop_columns(array: np.ndarray, positions: list[int]) -> np.ndarray:
+    """``array`` without the columns at the ascending ``positions``."""
+    bounds = [-1, *positions, array.shape[1]]
+    return np.concatenate(
+        [array[:, start + 1 : end] for start, end in zip(bounds, bounds[1:])],
+        axis=1,
     )

@@ -199,3 +199,17 @@ class TestBenchConftest:
         (result,) = results.values()
         assert result.id.endswith("test_tiny.py::test_tiny")
         assert not list(suite.glob("BENCH_*.json"))
+
+    def test_selected_session_keeps_report(self, tmp_path):
+        """A ``-k`` session prints its tables but leaves the full run's
+        ``report.txt`` in place."""
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        shutil.copy(_REPO_ROOT / "benchmarks" / "conftest.py", suite)
+        (suite / "test_tiny.py").write_text(self._BENCH)
+        (suite / "report.txt").write_text("full-run report\n")
+        out = tmp_path / "BENCH_out.json"
+        assert main(["bench", "run", "-k", "tiny", "--benchmarks-dir",
+                     str(suite), "--out", str(out)]) == 0
+        assert len(load_results(out)) == 1
+        assert (suite / "report.txt").read_text() == "full-run report\n"

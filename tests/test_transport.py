@@ -1,4 +1,5 @@
-"""Fluid transport: max-min fairness, integration, completion."""
+"""Transports: the active-flow contract both families keep, and the
+fluid transport's max-min fairness, integration and completion."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.routing import Router
 from repro.cluster.topology import ClusterSpec, ClusterTopology
+from repro.simulation.cc.transport import QueuedTransport
 from repro.simulation.linkloads import LinkLoadTracker
 from repro.simulation.transport import FluidTransport, TransferMeta
 from repro.util.units import GBPS
@@ -31,6 +33,13 @@ def make_transport(topo, sinks=None, fairness="maxmin"):
 
 META = TransferMeta(kind="fetch")
 
+#: Both transport families, for the cases of the shared active-flow table.
+FAMILIES = {
+    "fluid": FluidTransport,
+    "queued": lambda topo: QueuedTransport(topo, impl="dctcp"),
+}
+each_family = pytest.mark.parametrize("family", list(FAMILIES))
+
 
 class TestSingleFlow:
     def test_nic_limited_rate(self, topo, router):
@@ -53,12 +62,36 @@ class TestSingleFlow:
         assert transfer.src == 0 and transfer.dst == 1
         assert transfer.end_time == pytest.approx(1.0, rel=1e-6)
 
-    def test_invalid_flow_rejected(self, topo, router):
-        transport = make_transport(topo)
+    def test_queued_completion_produces_transfer(self, topo, router):
+        transport = QueuedTransport(topo, impl="dctcp")
+        transport.advance_to(0.25)
+        meta = TransferMeta(kind="fetch", job_id=7)
+        transport.add_flow(0, 1, 1e5, router.path_links(0, 1), meta)
+        assert transport.earliest_active_start() == 0.25
+        for _ in range(10_000):
+            if not transport.active_count:
+                break
+            transport.advance_to(transport.next_completion_wakeup())
+        ((transfer, callback),) = transport.pop_completed()
+        assert callback is None
+        assert transfer.transfer_id == 0
+        assert (transfer.src, transfer.dst, transfer.size) == (0, 1, 1e5)
+        assert transfer.meta == meta
+        assert transfer.start_time == 0.25
+        assert transfer.end_time == transport.now > 0.25
+        assert transport.pop_completed() == []
+        assert transport.earliest_active_start() is None
+
+    @each_family
+    def test_invalid_flow_rejected(self, family, topo, router):
+        transport = FAMILIES[family](topo)
         with pytest.raises(ValueError):
             transport.add_flow(0, 1, 0.0, router.path_links(0, 1), META)
         with pytest.raises(ValueError):
             transport.add_flow(0, 1, 1.0, (), META)
+        with pytest.raises(ValueError):
+            transport.add_flow(0, 1, 1.0, tuple(range(9)), META)
+        assert transport.active_count == 0
 
 
 class TestFairness:
@@ -146,8 +179,9 @@ class TestIntegration:
         for link_id in router.path_links(0, 1):
             assert tracker.link_totals()[link_id] == pytest.approx(125e6, rel=1e-6)
 
-    def test_advance_backwards_rejected(self, topo):
-        transport = make_transport(topo)
+    @each_family
+    def test_advance_backwards_rejected(self, family, topo):
+        transport = FAMILIES[family](topo)
         transport.advance_to(5.0)
         with pytest.raises(ValueError):
             transport.advance_to(4.0)
@@ -161,8 +195,9 @@ class TestIntegration:
         assert active.slots.tolist() == [slot]
         assert active.remaining[0] == pytest.approx(62.5e6, rel=1e-6)
 
-    def test_slot_reuse_after_completion(self, topo, router):
-        transport = make_transport(topo)
+    @each_family
+    def test_slot_reuse_after_completion(self, family, topo, router):
+        transport = FAMILIES[family](topo)
         slot = transport.add_flow(0, 1, 1e3, router.path_links(0, 1), META)
         transport.recompute_rates()
         transport.advance_to(1.0)
@@ -170,17 +205,18 @@ class TestIntegration:
         slot2 = transport.add_flow(0, 1, 1e3, router.path_links(0, 1), META)
         assert slot2 == slot
 
-    def test_growth_beyond_initial_capacity(self, topo, router):
+    @each_family
+    def test_growth_beyond_initial_capacity(self, family, topo, router):
         """The active set has no preset capacity: it grows flow by flow,
         and slots are handed out in order while none has been freed."""
-        transport = FluidTransport(topo)
+        transport = FAMILIES[family](topo)
         slots = [
             transport.add_flow(0, 1, 1e9, router.path_links(0, 1), META)
             for _ in range(300)
         ]
         assert slots == list(range(300))
         assert transport.active_count == 300
-        assert transport.active_flows().slots.tolist() == slots
+        assert transport._incidence.slots == slots
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=25, deadline=None)
